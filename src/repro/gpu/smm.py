@@ -18,7 +18,7 @@ from typing import Generator
 
 from repro.gpu.phases import Phase
 from repro.gpu.spec import GpuSpec
-from repro.gpu.timing import TimingModel, batch_finish_tags
+from repro.gpu.timing import TimingModel
 from repro.sim import Engine, ProcessorSharing, TimeWeighted
 
 
@@ -38,10 +38,6 @@ class Smm:
             engine, rate=issue_rate, per_job_cap=spec.clock_ghz,
             name=f"smm{index}.issue",
         )
-        # vectorized finish-tag kernel for coalesced sibling-warp
-        # arrivals (bit-identical to the scalar path; see
-        # repro.gpu.timing and docs/INTERNALS.md §10)
-        self.issue.tag_kernel = batch_finish_tags
         self.free_warps = spec.max_warps_per_smm
         self.free_blocks = spec.max_blocks_per_smm
         self.free_registers = spec.registers_per_smm

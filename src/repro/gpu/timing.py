@@ -9,108 +9,11 @@ hardware characteristics (launch overheads, PCIe latencies, DRAM
 bandwidth) plus the paper's own measurements (e.g. Table 3's data-copy
 fractions imply the copy-vs-compute balance), then frozen.  Experiments
 vary *workloads and runtimes*, never these constants.
-
-This module also hosts the **vectorized timing kernels** for the fast
-lane (docs/INTERNALS.md §10): numpy array passes that replace per-warp
-Python loops in the processor-sharing hot path while remaining
-bit-identical to the scalar math.  They change *how fast* numbers are
-computed, never *which* numbers — the differential suite
-(``tests/differential/``) pins that down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
-
-try:  # numpy ships with the repo's toolchain; degrade gracefully without
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on bare installs
-    _np = None
-
-#: Below this many elements the numpy call overhead exceeds the scalar
-#: loop; the kernels fall back to plain Python.
-_VECTOR_MIN = 16
-
-
-def batch_finish_tags(v: float, amounts: Sequence[float]) -> List[float]:
-    """Finish tags ``[v + a for a in amounts]`` in one array pass.
-
-    This is the vectorized kernel a :class:`~repro.sim.resources.\
-ProcessorSharing` pool calls when a coalesced arrival batch joins
-    (sibling warps of a threadblock issuing identical
-    latency-then-demand patterns).  IEEE-754 float64 addition is the
-    same operation elementwise in numpy as in the Python scalar loop,
-    so the tags are bit-identical; results are converted back to Python
-    floats so no ``np.float64`` leaks into the engine's clocks.
-    """
-    if _np is None or len(amounts) < _VECTOR_MIN:
-        return [v + a for a in amounts]
-    return (_np.asarray(amounts, dtype=_np.float64) + v).tolist()
-
-
-def ps_completion_times(
-    now: float,
-    v: float,
-    finish_tags: Sequence[float],
-    rate: float,
-    per_job_cap: float,
-) -> List[float]:
-    """Closed-form completion times of every resident job of a
-    processor-sharing pool, assuming no further arrivals.
-
-    Jobs are described by their virtual-time finish tags (ascending);
-    job ``k`` completes when the pool's virtual clock reaches its tag.
-    While ``n`` jobs remain the clock advances at ``min(cap, rate/n)``,
-    so completions are computed tag-by-tag with a vectorized prefix
-    pass over the per-interval service increments.
-
-    This is the fast lane's *oracle* for per-SMM warp completion: one
-    array pass instead of stepping the event loop per warp.  The
-    differential suite bit-compares it against the scalar recurrence
-    (`_ps_completion_times_scalar`) and against event-loop timings.
-    """
-    tags = sorted(finish_tags)
-    n = len(tags)
-    if n == 0:
-        return []
-    if _np is None or n < _VECTOR_MIN:
-        return _ps_completion_times_scalar(now, v, tags, rate, per_job_cap)
-    arr = _np.asarray(tags, dtype=_np.float64)
-    # per-interval virtual-service gap while k jobs have completed:
-    # tags[k] - tags[k-1] (tags[0] - v for the first interval)
-    gaps = _np.empty(n, dtype=_np.float64)
-    gaps[0] = arr[0] - v
-    gaps[1:] = arr[1:] - arr[:-1]
-    remaining = _np.arange(n, 0, -1, dtype=_np.float64)
-    rates = _np.minimum(per_job_cap, rate / remaining)
-    vals = gaps / rates
-    # seed the running sum with ``now`` so every partial sum associates
-    # exactly like the scalar recurrence ``t = t + gap/r`` (cumsum is a
-    # sequential accumulation; a trailing ``now + cumsum`` would round
-    # in a different order)
-    vals[0] += now
-    return _np.cumsum(vals).tolist()
-
-
-def _ps_completion_times_scalar(
-    now: float,
-    v: float,
-    tags: Sequence[float],
-    rate: float,
-    per_job_cap: float,
-) -> List[float]:
-    """Reference recurrence for :func:`ps_completion_times`."""
-    out = []
-    t = now
-    prev = v
-    n = len(tags)
-    for k, tag in enumerate(tags):
-        r = min(per_job_cap, rate / (n - k))
-        t = t + (tag - prev) / r
-        prev = tag
-        out.append(t)
-    return out
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ the report digest, a comparison, a bound — so a scenario definition
 reads like the incident postmortem it encodes ("token bucket holds
 victim p99 under 2x overload", "quarantine readmits within 8 epochs
 of the heal").  Anything a detector quotes in its detail string is a
-virtual-time value, keeping verdict bytes identical across lanes and
+virtual-time value, keeping verdict bytes identical across runs and
 worker counts.
 
 The dotted-path convention: ``"totals.completed"`` walks nested dicts

@@ -31,6 +31,7 @@ survives, the wall time compresses).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -81,6 +82,13 @@ def load_trace(path=None) -> List[TraceRow]:
             except ValueError as exc:
                 raise ValueError(
                     f"trace {path} line {lineno}: {exc}") from None
+            for column, value in (("start_time", start_s),
+                                  ("end_time", end_s),
+                                  ("plan_gpu", plan_gpu)):
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"trace {path} line {lineno}: {column} must be "
+                        f"finite, got {value!r}")
             if instances < 1:
                 raise ValueError(
                     f"trace {path} line {lineno}: inst_num must be >= 1")

@@ -194,6 +194,8 @@ class TraceArrivals(ArrivalProcess):
         if not instants:
             raise ValueError("need at least one arrival instant")
         rounded = [round(float(t), 3) for t in instants]
+        if not all(math.isfinite(t) for t in rounded):
+            raise ValueError("arrival instants must be finite")
         if rounded[0] < 0.0:
             raise ValueError("arrival instants must be >= 0")
         for a, b in zip(rounded, rounded[1:]):

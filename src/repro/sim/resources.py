@@ -102,11 +102,6 @@ class FifoResource:
 #: and monotone, so heap order is preserved.
 _REBASE_V = float(2 ** 20)
 
-#: Minimum coalesced-arrival batch size before the vectorized
-#: finish-tag kernel (see :attr:`ProcessorSharing.tag_kernel`) beats
-#: the scalar per-item loop; below this the numpy call overhead wins.
-_VECTOR_JOIN_MIN = 16
-
 
 class ProcessorSharing:
     """A pool of service rate, fairly shared, with a per-job rate cap.
@@ -153,13 +148,6 @@ class ProcessorSharing:
         self._timer_version = 0
         # time-weighted busy integral for utilization reporting
         self._busy_integral = 0.0
-        #: optional vectorized finish-tag kernel,
-        #: ``kernel(v, amounts) -> [v + a for a in amounts]`` as Python
-        #: floats.  Installed by the GPU layer
-        #: (:func:`repro.gpu.timing.batch_finish_tags`); must be
-        #: bit-identical to the scalar sum.  ``None`` keeps the scalar
-        #: loop.
-        self.tag_kernel = None
 
     # -- internal -------------------------------------------------------------
 
@@ -208,26 +196,16 @@ class ProcessorSharing:
         eta = shortest / job_rate
         if eta < _MIN_ETA:
             eta = _MIN_ETA
-        # inlined engine.call_after / engine._push: one heap-or-bucket
-        # insert, no closure-free wrapper frames (this is the single
-        # hottest timer in the simulator — every PS arrival and
-        # departure lands here)
+        # inlined engine.call_after / engine._push: one heap insert, no
+        # wrapper frames (this is the single hottest timer in the
+        # simulator — every PS arrival and departure lands here)
         engine = self.engine
         engine._seq += 1
-        when = engine.now + eta
-        fn = lambda: self._on_timer(version)
-        if engine._fast:
-            b = engine._buckets.get(when)
-            if b is None:
-                engine._buckets[when] = [(engine._seq, _FN, fn, None)]
-                heapq.heappush(engine._times, when)
-            else:
-                b.append((engine._seq, _FN, fn, None))
-            engine._nbucketed += 1
-        else:
-            heapq.heappush(
-                engine._queue, (when, engine._seq, _FN, fn, None)
-            )
+        heapq.heappush(
+            engine._queue,
+            (engine.now + eta, engine._seq, _FN,
+             lambda: self._on_timer(version), None),
+        )
 
     def _on_timer(self, version: int) -> None:
         if version != self._timer_version:
@@ -307,45 +285,16 @@ class ProcessorSharing:
                 self._last_update = self.engine.now
             heap = self._heap
             v = self._v
-            kernel = self.tag_kernel
-            if kernel is not None and len(batch) >= _VECTOR_JOIN_MIN:
-                # Vectorized finish tags: one array pass computes every
-                # sibling's ``v + amount``; IEEE-754 elementwise add is
-                # bit-identical to the scalar Python sum, and appending
-                # then heapifying yields the same pop order as per-item
-                # pushes (the (tag, seq) order is total).
-                tags = kernel(v, [amt for amt, _e in batch])
-                nid = self._next_id
-                for (amt, e), tag in zip(batch, tags):
-                    if amt == 0.0:
-                        e.fire(None)
-                        continue
-                    nid += 1
-                    heap.append((tag, nid, e))
-                self._next_id = nid
-                heapq.heapify(heap)
-            else:
-                for amt, e in batch:
-                    if amt == 0.0:
-                        e.fire(None)
-                        continue
-                    self._next_id += 1
-                    heapq.heappush(heap, (v + amt, self._next_id, e))
+            for amt, e in batch:
+                if amt == 0.0:
+                    e.fire(None)
+                    continue
+                self._next_id += 1
+                heapq.heappush(heap, (v + amt, self._next_id, e))
             self._reschedule()
 
         engine._seq += 1
-        if engine._fast:
-            b = engine._buckets.get(when)
-            if b is None:
-                engine._buckets[when] = [(engine._seq, _FN, join, None)]
-                heapq.heappush(engine._times, when)
-            else:
-                b.append((engine._seq, _FN, join, None))
-            engine._nbucketed += 1
-        else:
-            heapq.heappush(
-                engine._queue, (when, engine._seq, _FN, join, None)
-            )
+        heapq.heappush(engine._queue, (when, engine._seq, _FN, join, None))
         return ev
 
     @property

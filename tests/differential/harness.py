@@ -1,11 +1,16 @@
-"""Shared plumbing for the lane-differential suite.
+"""Shared plumbing for the differential suite.
 
-Every helper runs the *same* deterministic scenario on a chosen engine
-lane and returns a byte-comparable artifact (fingerprint tuple, JSON
-string).  Tests assert strict equality between lanes — the fast lane's
-contract is bit-identity, not tolerance (docs/INTERNALS.md §10).
+Every helper runs one deterministic scenario and returns a
+byte-comparable artifact (fingerprint tuple, JSON string).  The
+end-to-end tests compare :func:`digest` of each artifact with a value
+pinned in ``test_lanes.py``; any change to simulated behaviour must
+update those pins deliberately.
+
+Run ``PYTHONPATH=src python -m tests.differential.harness`` to print
+the current digests in the layout of the pin tables.
 """
 
+import hashlib
 import json
 
 from repro.core import PagodaConfig, run_pagoda
@@ -20,8 +25,17 @@ from tests.test_determinism import fingerprint
 #: seed sweep width (the acceptance bar is >= 25 seeds).
 DIFF_SEEDS = range(25)
 
+#: obs-snapshot seeds.
+OBS_SEEDS = (0, 7, 19)
 
-def chaos_fingerprint(seed: int, lane: str, faulty: bool = False) -> tuple:
+
+def digest(artifact) -> str:
+    """Short stable hash of a fingerprint tuple or a JSON string."""
+    text = artifact if isinstance(artifact, str) else repr(artifact)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def chaos_fingerprint(seed: int, faulty: bool = False) -> tuple:
     """One hostile-mix Pagoda run on the 2-SMM chaos GPU.
 
     With ``faulty`` a seed-generated :class:`FaultPlan` is active and
@@ -37,7 +51,7 @@ def chaos_fingerprint(seed: int, lane: str, faulty: bool = False) -> tuple:
         watchdog = 2_000_000.0 if plan.needs_watchdog() else None
     stats = run_pagoda(chaos_tasks(seed), spec=chaos_spec(),
                        config=PagodaConfig(
-                           copy_inputs=False, copy_outputs=False, lane=lane,
+                           copy_inputs=False, copy_outputs=False,
                            fault_plan=plan,
                            watchdog_deadline_ns=watchdog))
     extra = ()
@@ -50,14 +64,13 @@ def chaos_fingerprint(seed: int, lane: str, faulty: bool = False) -> tuple:
     return fingerprint(stats) + extra
 
 
-def obs_snapshot_json(seed: int, lane: str) -> str:
+def obs_snapshot_json(seed: int) -> str:
     """Canonical JSON of a fully instrumented run's stats snapshot
-    (profiler attached, so ``profile.heap_peak`` is part of the
-    comparison)."""
+    (profiler attached, so ``profile.heap_peak`` is part of it)."""
     stats = run_pagoda(chaos_tasks(seed), spec=chaos_spec(),
                        config=PagodaConfig(
                            copy_inputs=False, copy_outputs=False,
-                           lane=lane, obs=Obs()))
+                           obs=Obs()))
     return json.dumps(stats.meta["stats_snapshot"], sort_keys=True,
                       separators=(",", ":"))
 
@@ -66,8 +79,7 @@ def _serve_kernel(task, block_id, warp_id):
     yield Phase(inst=1500, mem_bytes=128)
 
 
-def serve_report_json(lane: str, faulty: bool = False,
-                      n_requests: int = 60) -> str:
+def serve_report_json(faulty: bool = False, n_requests: int = 60) -> str:
     """One SLO-serving run; returns the report's canonical bytes."""
     from repro.serve import (PoissonArrivals, ServeConfig, SloClass,
                              TenantSpec, serve)
@@ -84,5 +96,40 @@ def serve_report_json(lane: str, faulty: bool = False,
                           PoissonArrivals(150_000.0, seed=11),
                           slo=SloClass("svc", deadline_ns=2.0e5))]
     report = serve(tenants, ServeConfig(pagoda=PagodaConfig(
-        lane=lane, fault_plan=plan, watchdog_deadline_ns=watchdog)))
+        fault_plan=plan, watchdog_deadline_ns=watchdog)))
     return report.to_json()
+
+
+def corpus_fingerprint(workload: str, runtime: str, seed: int) -> tuple:
+    """One golden-corpus cell (``tests/test_determinism.py``)."""
+    from repro.bench.harness import make_tasks, run_tasks
+
+    return fingerprint(run_tasks(make_tasks(workload, 24, 128, seed=seed),
+                                 runtime))
+
+
+def _print_pins() -> None:  # pragma: no cover - maintenance aid
+    from tests.test_determinism import GOLDEN_APPROX_CASES, GOLDEN_EXACT_CASES
+
+    print("CORPUS_DIGESTS = {")
+    for case in GOLDEN_EXACT_CASES + GOLDEN_APPROX_CASES:
+        print(f"    {case!r}: {digest(corpus_fingerprint(*case))!r},")
+    print("}")
+    for faulty in (False, True):
+        name = "CHAOS_FAULTY_DIGESTS" if faulty else "CHAOS_DIGESTS"
+        print(f"{name} = [")
+        for seed in DIFF_SEEDS:
+            print(f"    {digest(chaos_fingerprint(seed, faulty))!r},")
+        print("]")
+    print("OBS_DIGESTS = {")
+    for seed in OBS_SEEDS:
+        print(f"    {seed}: {digest(obs_snapshot_json(seed))!r},")
+    print("}")
+    print("SERVE_DIGESTS = {")
+    for faulty in (False, True):
+        print(f"    {faulty}: {digest(serve_report_json(faulty))!r},")
+    print("}")
+
+
+if __name__ == "__main__":  # pragma: no cover
+    _print_pins()

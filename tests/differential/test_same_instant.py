@@ -1,21 +1,23 @@
-"""Property test: same-instant event ordering is lane-invariant.
+"""Property test: same-instant event ordering matches the reference.
 
 Hypothesis generates interleaved timers, callbacks, and spawns whose
 delays are drawn from a tiny set of values, so *most* events collide on
-equal timestamps — exactly the regime where the fast lane's batch
-assembly (bucket pop + ring merge + seq sort) could get the ``_seq``
-tie-break wrong.  Both lanes must produce identical ``_seq``-ordered
-execution traces, final clocks, and event counts on every generated
-program.
+equal timestamps — exactly the regime where merging the ready ring with
+the heap could get the ``_seq`` tie-break wrong.  Both engine drains
+must produce the reference engine's ``_seq``-ordered execution trace,
+final clock, and event count on every generated program.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Engine
+from repro.sim.reference import ReferenceEngine
+
+from tests.differential.test_lanes import BoundedEngine
 
 #: few distinct delays -> dense timestamp collisions (0.0 entries keep
-#: the ready ring in play; equal positives collide in the buckets).
+#: the ready ring in play; equal positives collide in the heap).
 DELAYS = (0.0, 0.5, 1.0, 1.0, 2.0)
 
 #: one process = a list of (action, delay-index) steps.
@@ -29,8 +31,7 @@ program = st.lists(
 )
 
 
-def run_program(plan, lane):
-    engine = Engine(lane=lane)
+def run_program(plan, engine):
     trace = []
 
     def proc(pid, steps):
@@ -59,4 +60,6 @@ def run_program(plan, lane):
 @given(program)
 @settings(max_examples=60, deadline=None)
 def test_same_instant_traces_identical(plan):
-    assert run_program(plan, "default") == run_program(plan, "fast")
+    reference = run_program(plan, ReferenceEngine())
+    assert run_program(plan, Engine()) == reference
+    assert run_program(plan, BoundedEngine()) == reference

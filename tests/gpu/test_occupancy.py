@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.gpu import blocks_per_smm, occupancy, titan_x, warps_per_block
-from repro.gpu.occupancy import registers_per_block
+from repro.gpu.occupancy import (memo_stats, registers_per_block,
+                                 reset_memo_counters)
 
 SPEC = titan_x()
 
@@ -132,3 +133,20 @@ def test_resource_feasibility_invariant():
                 assert n * registers_per_block(SPEC, threads, regs) <= SPEC.registers_per_smm
                 assert n * smem <= SPEC.shared_mem_per_smm
                 assert n <= SPEC.max_blocks_per_smm
+
+
+def test_memo_stats_counts_hits_and_misses():
+    spec = titan_x()
+    reset_memo_counters()
+    base = memo_stats()
+    assert base == {"hits": 0, "misses": 0, "size": 0}
+    occupancy(spec, 256, 32, 0)     # misses on every layer
+    after_miss = memo_stats()
+    assert after_miss["misses"] > 0
+    assert after_miss["size"] > 0
+    occupancy(spec, 256, 32, 0)     # pure hit
+    after_hit = memo_stats()
+    assert after_hit["hits"] == after_miss["hits"] + 1
+    assert after_hit["misses"] == after_miss["misses"]
+    reset_memo_counters()
+    assert memo_stats() == {"hits": 0, "misses": 0, "size": 0}

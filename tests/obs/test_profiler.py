@@ -1,5 +1,9 @@
 """The sim profiler: deterministic tallies, wrapping, and teardown."""
 
+import math
+
+import pytest
+
 from repro.obs import Obs, SimProfiler
 from repro.sim import Engine, Event
 
@@ -128,3 +132,70 @@ def test_identical_runs_identical_reports():
         return profiler.report()
 
     assert run() == run()
+
+
+#: ``profile.heap_peak`` and ``engine.event_count`` of the chaos-mix run
+#: below (seed 4).  Every drain must reproduce both numbers; only a
+#: deliberate change to the schedule or to the depth definition may
+#: move them.
+PINNED_CHAOS_SEED = 4
+PINNED_HEAP_PEAK = 26
+PINNED_EVENT_COUNT = 607
+
+
+def _drive_engine(path, split_at, engines):
+    """An Engine whose unbounded ``run()`` (the one ``run_pagoda``
+    issues) is routed through ``path`` instead."""
+    from repro.sim import Engine as BaseEngine
+
+    class DriveEngine(BaseEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+        def run(self, until=None, max_events=None,
+                raise_on_deadlock=False):
+            if until is not None or max_events is not None:
+                return super().run(until, max_events, raise_on_deadlock)
+            if path == "halves":
+                super().run(until=split_at)
+                return super().run(until=math.inf,
+                                   raise_on_deadlock=raise_on_deadlock)
+            if path == "idle":
+                end = self.run_until_idle_processes()
+                if raise_on_deadlock:
+                    self.check_deadlock()
+                return end
+            return super().run(raise_on_deadlock=raise_on_deadlock)
+
+    return DriveEngine
+
+
+def _chaos_profile(monkeypatch, path, split_at=None):
+    import repro.core.runtime as runtime_mod
+    from repro.core import PagodaConfig, run_pagoda
+    from tests.chaos.harness import chaos_spec, chaos_tasks
+
+    engines = []
+    monkeypatch.setattr(runtime_mod, "Engine",
+                        _drive_engine(path, split_at, engines))
+    stats = run_pagoda(
+        chaos_tasks(PINNED_CHAOS_SEED), spec=chaos_spec(),
+        config=PagodaConfig(copy_inputs=False, copy_outputs=False,
+                            obs=Obs()))
+    (engine,) = engines
+    profile = stats.meta["stats_snapshot"]["profile"]
+    return profile["heap_peak"], engine.event_count, engine.now
+
+
+@pytest.mark.parametrize("path", ["run", "halves", "idle"])
+def test_heap_peak_and_event_count_are_pinned(monkeypatch, path):
+    """The profiler's queue depth is ``len(engine._queue)`` sampled at
+    each resume; an unbounded run, a run split at ``until`` and a
+    liveness-bounded run all see the same peak and count."""
+    split_at = None
+    if path == "halves":
+        _peak, _count, end = _chaos_profile(monkeypatch, "run")
+        split_at = end / 2
+    peak, count, _end = _chaos_profile(monkeypatch, path, split_at)
+    assert (peak, count) == (PINNED_HEAP_PEAK, PINNED_EVENT_COUNT)

@@ -4,7 +4,7 @@ The acceptance criteria of the scenarios subsystem, as tests:
 
 - at least six catalog scenarios spanning all four stack layers;
 - every catalog scenario passes its detectors at the default seed;
-- the result JSON is byte-identical across engine lanes and cluster
+- the result JSON is byte-identical across repeat runs and cluster
   worker counts (execution strategy never leaks into verdicts).
 """
 
@@ -19,7 +19,7 @@ from repro.scenarios.detectors import Conservation
 
 #: one cheap scenario per execution-identity axis (the bench cell and
 #: the full catalog cover the rest).
-LANE_PROBE = "serve.trace_replay"
+REPEAT_PROBE = "serve.trace_replay"
 CLUSTER_PROBE = "cluster.partition_heal"
 
 
@@ -59,12 +59,6 @@ def test_catalog_passes_at_default_seed(name):
                       separators=(",", ":")) == result.to_json()
 
 
-def test_result_bytes_identical_across_lanes():
-    fast = run_scenario(LANE_PROBE, lane="fast").to_json()
-    default = run_scenario(LANE_PROBE, lane="default").to_json()
-    assert fast == default
-
-
 def test_result_bytes_identical_across_worker_counts():
     seq = run_scenario(CLUSTER_PROBE, workers=0).to_json()
     par = run_scenario(CLUSTER_PROBE, workers=2).to_json()
@@ -72,8 +66,8 @@ def test_result_bytes_identical_across_worker_counts():
 
 
 def test_repeated_runs_are_byte_identical():
-    a = run_scenario(LANE_PROBE)
-    b = run_scenario(LANE_PROBE)
+    a = run_scenario(REPEAT_PROBE)
+    b = run_scenario(REPEAT_PROBE)
     assert a.to_json() == b.to_json()
 
 

@@ -97,6 +97,23 @@ def test_malformed_traces_are_rejected(tmp_path):
         load_trace(empty)
 
 
+@pytest.mark.parametrize("column,row", [
+    ("start_time", "j,t,1,nan,,"),
+    ("start_time", "j,t,1,inf,,"),
+    ("end_time", "j,t,1,1.0,inf,"),
+    ("plan_gpu", "j,t,1,1.0,2.0,nan"),
+])
+def test_non_finite_times_are_rejected(tmp_path, column, row):
+    # float("nan") < 0 is False, so a sign check alone lets NaN through
+    trace = tmp_path / "nonfinite.csv"
+    trace.write_text(
+        "job_name,task_name,inst_num,start_time,end_time,plan_gpu\n"
+        "ok,t,1,0.5,,\n" + row + "\n")
+    with pytest.raises(ValueError,
+                       match=f"line 3: {column} must be finite"):
+        load_trace(trace)
+
+
 def test_sample_trace_is_checked_in():
     assert SAMPLE_TRACE.exists()
     header = SAMPLE_TRACE.read_text().splitlines()[0]

@@ -149,6 +149,16 @@ def test_trace_arrivals_validates_input():
         TraceArrivals([0.0, 50.0], cycle_ns=40.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_trace_arrivals_rejects_non_finite_instants(bad):
+    # every comparison with NaN is False, so the ordering checks alone
+    # would accept it
+    with pytest.raises(ValueError, match="finite"):
+        TraceArrivals([0.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        TraceArrivals([bad, 5.0])
+
+
 def test_trace_arrivals_signature_names_content():
     a = TraceArrivals([1.0, 2.0, 3.0])
     b = TraceArrivals([1.0, 2.0, 3.0])
