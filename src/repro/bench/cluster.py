@@ -7,12 +7,14 @@ Two claims ride on the cluster layer, and this cell measures both:
   :meth:`~repro.cluster.FleetReport.to_json` output.  The experiment
   *asserts* this before reporting any number — a speedup of a
   different simulation is not a speedup.
-- **Scale-out**: with one engine per node in its own process, wall
-  time should approach ``seq / workers`` on a machine with that many
-  cores.  ``scripts/bench.py`` tracks the ratio as ``cluster_speedup``
-  and guards a >=2x floor at 4 workers (on hosts with >= 4 cores; a
-  1-core container cannot demonstrate parallel speedup and records
-  the ratio unguarded).
+- **Scale-out**: with the nodes split over ``workers`` shard hosts
+  (the coordinator steps one share itself and forks ``workers - 1``
+  processes for the rest), wall time should approach
+  ``seq / workers`` on a machine with that many cores.
+  ``scripts/bench.py`` tracks the ratio as ``cluster_speedup`` and
+  guards a >=2x floor at 4 workers (on hosts with >= 4 cores; a
+  smaller host cannot demonstrate that speedup and records the ratio
+  unguarded).
 
 The scenario is deliberately compute-heavy per shard (wide blocks,
 long kernels) so the measurement exercises the sharding, not the

@@ -115,9 +115,12 @@ def run_cluster(
 ) -> FleetReport:
     """Run one fleet experiment; returns the :class:`FleetReport`.
 
-    ``workers=0`` steps every shard sequentially in this process (the
-    reference execution); ``workers=N`` shards the fleet across ``N``
-    worker processes.  The report bytes are identical either way.
+    ``workers`` counts shard hosts, this process included: ``0`` or
+    ``1`` steps every shard sequentially in this process (the
+    reference execution); ``workers=N`` splits the nodes round-robin
+    over ``N`` hosts, this process stepping the first share itself and
+    ``N - 1`` forked worker processes the rest.  The report bytes are
+    identical for any worker count.
 
     ``fabric_plan`` arms fabric-layer faults (``fabric.*`` kinds
     only) and, with them, the reliable messaging + self-healing

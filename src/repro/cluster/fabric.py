@@ -27,6 +27,7 @@ payloads are task specs, plain tuples, and ints only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -88,10 +89,13 @@ class FabricPolicy:
     max_attempts: int = 5
 
     def __post_init__(self) -> None:
-        if self.rto_factor <= 0:
-            raise ValueError("rto_factor must be > 0")
-        if self.backoff_cap_factor < 1:
-            raise ValueError("backoff_cap_factor must be >= 1")
+        if not (math.isfinite(self.rto_factor) and self.rto_factor > 0):
+            raise ValueError(f"rto_factor must be finite and > 0, "
+                             f"got {self.rto_factor}")
+        if not (math.isfinite(self.backoff_cap_factor)
+                and self.backoff_cap_factor >= 1):
+            raise ValueError(f"backoff_cap_factor must be finite and "
+                             f">= 1, got {self.backoff_cap_factor}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
 

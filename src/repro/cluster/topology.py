@@ -16,11 +16,17 @@ shipped to worker processes, which rebuild their shards from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 #: the router's reserved endpoint name on the fabric.
 ROUTER = "@router"
+
+
+def _positive(x: float) -> bool:
+    """``x`` is a finite number > 0 (NaN and infinity are not)."""
+    return math.isfinite(x) and x > 0
 
 
 @dataclass
@@ -68,18 +74,21 @@ class Topology:
         names = [n.name for n in self.nodes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate node names in {names}")
-        if self.link_ns <= 0:
-            raise ValueError("link_ns must be > 0")
+        if not _positive(self.link_ns):
+            raise ValueError(f"link_ns must be finite and > 0, "
+                             f"got {self.link_ns}")
         for key, lat in self.links.items():
-            if lat <= 0:
-                raise ValueError(f"link {key} latency must be > 0")
+            if not _positive(lat):
+                raise ValueError(f"link {key} latency must be finite "
+                                 f"and > 0, got {lat}")
+        if self.epoch_ns is not None and not _positive(self.epoch_ns):
+            raise ValueError(f"epoch_ns must be finite and > 0, "
+                             f"got {self.epoch_ns}")
         if self.epoch_ns is not None and self.epoch_ns > self.lookahead_ns:
             raise ValueError(
                 f"epoch_ns {self.epoch_ns} exceeds the lookahead "
                 f"{self.lookahead_ns}: messages could arrive mid-epoch"
             )
-        if self.epoch_ns is not None and self.epoch_ns <= 0:
-            raise ValueError("epoch_ns must be > 0")
 
     @property
     def node_names(self) -> List[str]:

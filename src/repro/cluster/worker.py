@@ -3,13 +3,15 @@
 The coordinator (:mod:`repro.cluster.driver`) never talks to a
 :class:`~repro.cluster.node.NodeShard` directly; it talks to a *host*:
 
-- :class:`InProcessHost` builds every shard in the coordinator's own
-  interpreter and steps them sequentially — the reference execution,
-  and the fallback when ``workers == 0``;
-- :class:`WorkerPoolHost` partitions the nodes round-robin across N
-  worker processes, each of which rebuilds its shards from the plain
-  pickled topology/config data and serves the *identical* step
-  protocol over a pipe.
+- :class:`InProcessHost` builds shards in the coordinator's own
+  interpreter and steps them sequentially — the reference execution
+  when ``workers <= 1``;
+- :class:`WorkerPoolHost` partitions the nodes round-robin across
+  ``workers`` shard hosts, the coordinator included: it steps the
+  first share itself in an :class:`InProcessHost` and forks
+  ``workers - 1`` child processes for the others.  Each child rebuilds
+  its shards from the plain pickled topology/config data and serves
+  the *identical* step protocol over a pipe.
 
 Both hosts are pure transports: every routing/ordering decision is
 made coordinator-side from data that is identical in either mode, and
@@ -17,20 +19,22 @@ each shard's evolution is a pure function of its deliveries — which
 is why the merged fleet report is byte-identical for any worker
 count (asserted by ``tests/cluster``).
 
-Workers are plain ``multiprocessing`` processes (``fork`` where
+Children are plain ``multiprocessing`` processes (``fork`` where
 available, ``spawn`` elsewhere — task-spec kernels must be picklable,
-i.e. module-level, for ``spawn``).  Worker environments are scrubbed
+i.e. module-level, for ``spawn``).  Child environments are scrubbed
 with :func:`repro.bench.subproc.silence_conda` so nothing pollutes
-stdout mid-protocol.  A worker that dies mid-protocol (OOM kill,
-segfault, unhandled exception) is *detected*, not waited on: every
-receive watches the process sentinel alongside the pipe, tears the
-pool down, and raises :class:`ClusterWorkerError` naming the nodes
-and the epoch instead of blocking forever on a dead pipe.
+stdout mid-protocol.  A child that fails mid-protocol is *detected*,
+not waited on, and raises :class:`ClusterWorkerError` naming the nodes
+and the epoch after tearing the pool down: an exception inside a shard
+is sent back with its formatted traceback, and a child that dies (OOM
+kill, segfault) is caught by watching its process sentinel alongside
+the pipe instead of blocking forever on a dead pipe.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import traceback
 from multiprocessing.connection import wait as _conn_wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,33 +48,40 @@ StepResult = Tuple[List[Outbound], Dict[str, int]]
 
 
 class ClusterWorkerError(RuntimeError):
-    """A shard worker process died mid-protocol.
+    """A shard worker process failed mid-protocol.
 
-    Carries the nodes the dead worker hosted, its exit code, and the
-    epoch the coordinator was stepping when the pipe went dark."""
+    Carries the nodes the worker hosted, its exit code, the epoch the
+    coordinator was stepping, and — when a shard raised rather than
+    the process dying — the shard's formatted traceback (``error``)."""
 
     def __init__(self, nodes: List[str], exitcode: Optional[int],
-                 epoch: int) -> None:
+                 epoch: int, error: Optional[str] = None) -> None:
         self.nodes = list(nodes)
         self.exitcode = exitcode
         self.epoch = epoch
-        super().__init__(
-            f"cluster worker hosting nodes {self.nodes} died "
-            f"(exitcode={exitcode}) during epoch {epoch}"
-        )
+        self.error = error
+        head = f"cluster worker hosting nodes {self.nodes}"
+        if error is None:
+            super().__init__(f"{head} died (exitcode={exitcode}) "
+                             f"during epoch {epoch}")
+        else:
+            super().__init__(f"{head} raised during epoch {epoch}:\n"
+                             f"{error.rstrip()}")
 
 
 class InProcessHost:
-    """Sequential shard stepping inside the coordinator process."""
+    """Sequential shard stepping inside the calling process."""
 
     def __init__(self, topology: Topology, tenant_slos: Sequence[tuple],
-                 template, obs: bool, reliable: bool = False) -> None:
+                 template, obs: bool, reliable: bool = False,
+                 names: Optional[Sequence[str]] = None) -> None:
+        self._order = list(names) if names is not None \
+            else topology.node_names
         self.shards = {
-            spec.name: NodeShard(spec, tenant_slos, template, obs,
-                                 reliable=reliable)
-            for spec in topology.nodes
+            name: NodeShard(topology.node(name), tenant_slos, template,
+                            obs, reliable=reliable)
+            for name in self._order
         }
-        self._order = topology.node_names
 
     def step(self, epoch_end: float,
              inboxes: Dict[str, List[Message]]) -> Dict[str, StepResult]:
@@ -89,29 +100,30 @@ class InProcessHost:
 def _worker_main(conn, topology: Topology, names: List[str],
                  tenant_slos, template, obs: bool,
                  reliable: bool = False) -> None:
-    """One worker process: build the assigned shards, speak the
-    step/finish protocol over the pipe until told to exit."""
+    """One child process: host the assigned shards and speak the
+    step/finish protocol over the pipe until told to exit.  Replies
+    are ``("ok", results)``, or ``("error", traceback)`` after which
+    the child exits."""
     silence_conda()
-    shards = {
-        name: NodeShard(topology.node(name), tenant_slos, template, obs,
-                        reliable=reliable)
-        for name in names
-    }
+    host = InProcessHost(topology, tenant_slos, template, obs,
+                         reliable=reliable, names=names)
     while True:
         cmd = conn.recv()
-        if cmd[0] == "step":
-            _, epoch_end, inboxes = cmd
-            conn.send({
-                name: shards[name].step(epoch_end, inboxes.get(name, []))
-                for name in names
-            })
-        elif cmd[0] == "finish":
-            conn.send({name: shards[name].finish() for name in names})
-        elif cmd[0] == "exit":
+        if cmd[0] == "exit":
             conn.close()
             return
-        else:  # pragma: no cover - protocol guard
-            raise ValueError(f"unknown worker command {cmd[0]!r}")
+        try:
+            if cmd[0] == "step":
+                reply = host.step(cmd[1], cmd[2])
+            elif cmd[0] == "finish":
+                reply = host.finish()
+            else:  # pragma: no cover - protocol guard
+                raise ValueError(f"unknown worker command {cmd[0]!r}")
+        except Exception:
+            conn.send(("error", traceback.format_exc()))
+            conn.close()
+            return
+        conn.send(("ok", reply))
 
 
 def _mp_context():
@@ -121,24 +133,27 @@ def _mp_context():
 
 
 class WorkerPoolHost:
-    """N worker processes, nodes partitioned round-robin."""
+    """``workers`` shard hosts, nodes partitioned round-robin: the
+    coordinator steps the first share, ``workers - 1`` children the
+    rest."""
 
     def __init__(self, topology: Topology, tenant_slos: Sequence[tuple],
                  template, obs: bool, workers: int,
                  reliable: bool = False) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self._order = topology.node_names
-        workers = min(workers, len(self._order))
+        order = topology.node_names
+        workers = min(workers, len(order))
         assigned: List[List[str]] = [[] for _ in range(workers)]
-        for i, name in enumerate(self._order):
+        for i, name in enumerate(order):
             assigned[i % workers].append(name)
         ctx = _mp_context()
         self._conns = []
         self._procs = []
-        self._names: List[List[str]] = assigned
+        #: node names of each child, parallel to ``_procs``.
+        self._names: List[List[str]] = assigned[1:]
         self._epoch = 0
-        for names in assigned:
+        for names in self._names:
             parent, child = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_worker_main,
@@ -150,22 +165,34 @@ class WorkerPoolHost:
             child.close()
             self._conns.append(parent)
             self._procs.append(proc)
+        # built after the fork so children do not inherit these shards
+        self._local = InProcessHost(topology, tenant_slos, template, obs,
+                                    reliable=reliable, names=assigned[0])
+
+    def _fail(self, proc, names: List[str],
+              error: Optional[str] = None) -> ClusterWorkerError:
+        """Tear the pool down and build the error naming ``proc``."""
+        proc.join(timeout=5)
+        self._teardown()
+        return ClusterWorkerError(names, proc.exitcode, self._epoch, error)
 
     def _recv(self, conn, proc, names: List[str]):
-        """Receive one reply, watching the worker's sentinel: a dead
-        worker raises instead of blocking the coordinator forever."""
+        """Receive one reply, watching the child's sentinel: a dead
+        child raises instead of blocking the coordinator forever."""
         ready = _conn_wait([conn, proc.sentinel])
         if conn in ready:
             try:
-                return conn.recv()
+                status, payload = conn.recv()
             except (EOFError, OSError):
                 pass  # pipe torn down mid-reply: treat as death
-        proc.join(timeout=5)
-        self._teardown()
-        raise ClusterWorkerError(names, proc.exitcode, self._epoch)
+            else:
+                if status == "ok":
+                    return payload
+                raise self._fail(proc, names, payload)
+        raise self._fail(proc, names)
 
     def _teardown(self) -> None:
-        """Kill the whole pool (one worker is gone; the fleet state is
+        """Kill every child (one shard host failed; the fleet state is
         unrecoverable mid-epoch)."""
         for conn in self._conns:
             try:
@@ -177,36 +204,34 @@ class WorkerPoolHost:
                 proc.terminate()
             proc.join(timeout=5)
 
-    def step(self, epoch_end: float,
-             inboxes: Dict[str, List[Message]]) -> Dict[str, StepResult]:
-        # fan the command out to every worker *before* reading any
-        # reply — this is where the wall-clock parallelism comes from
-        self._epoch += 1
+    def _round(self, cmd, local) -> dict:
+        """One protocol round: send every child its command *before*
+        stepping the local share, so the coordinator's core works
+        while the children do, then collect the children's replies."""
         for conn, names, proc in zip(self._conns, self._names, self._procs):
             try:
-                conn.send(("step", epoch_end,
-                           {n: inboxes[n] for n in names if n in inboxes}))
+                conn.send(cmd(names))
             except (BrokenPipeError, OSError):
-                proc.join(timeout=5)
-                self._teardown()
-                raise ClusterWorkerError(names, proc.exitcode, self._epoch)
-        results: Dict[str, StepResult] = {}
+                raise self._fail(proc, names)
+        try:
+            results = local()
+        except BaseException:
+            self._teardown()
+            raise
         for conn, names, proc in zip(self._conns, self._names, self._procs):
             results.update(self._recv(conn, proc, names))
         return results
 
+    def step(self, epoch_end: float,
+             inboxes: Dict[str, List[Message]]) -> Dict[str, StepResult]:
+        self._epoch += 1
+        return self._round(
+            lambda names: ("step", epoch_end,
+                           {n: inboxes[n] for n in names if n in inboxes}),
+            lambda: self._local.step(epoch_end, inboxes))
+
     def finish(self) -> Dict[str, tuple]:
-        for conn, names, proc in zip(self._conns, self._names, self._procs):
-            try:
-                conn.send(("finish",))
-            except (BrokenPipeError, OSError):
-                proc.join(timeout=5)
-                self._teardown()
-                raise ClusterWorkerError(names, proc.exitcode, self._epoch)
-        results: Dict[str, tuple] = {}
-        for conn, names, proc in zip(self._conns, self._names, self._procs):
-            results.update(self._recv(conn, proc, names))
-        return results
+        return self._round(lambda names: ("finish",), self._local.finish)
 
     def close(self) -> None:
         for conn in self._conns:
@@ -224,8 +249,11 @@ class WorkerPoolHost:
 def make_host(topology: Topology, tenant_slos: Sequence[tuple],
               template, obs: bool, workers: int,
               reliable: bool = False):
-    """``workers == 0`` -> sequential reference; ``>= 1`` -> pool."""
-    if workers == 0:
+    """``workers <= 1`` -> sequential in-process host; ``>= 2`` -> the
+    coordinator plus ``workers - 1`` child processes."""
+    if workers < 0:
+        raise ValueError("workers must be >= 0")
+    if workers <= 1:
         return InProcessHost(topology, tenant_slos, template, obs,
                              reliable=reliable)
     return WorkerPoolHost(topology, tenant_slos, template, obs, workers,

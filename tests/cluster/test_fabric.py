@@ -202,3 +202,14 @@ def test_policy_validation_and_description():
         FabricPolicy(max_attempts=0)
     assert FabricPolicy().describe() == \
         "at-least-once(rto=2x, cap=8x, max_attempts=5)"
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"rto_factor": float("nan")}, "rto_factor"),
+    ({"rto_factor": float("inf")}, "rto_factor"),
+    ({"backoff_cap_factor": float("nan")}, "backoff_cap_factor"),
+    ({"backoff_cap_factor": float("inf")}, "backoff_cap_factor"),
+])
+def test_policy_rejects_non_finite_factors(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        FabricPolicy(**kwargs)

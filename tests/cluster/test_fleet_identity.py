@@ -86,6 +86,17 @@ def test_identity_holds_across_a_node_death_with_cross_shard_failover():
     assert totals["offered"] >= 2 * REQUESTS
 
 
+def test_node_death_bytes_match_for_every_worker_count():
+    # workers counts shard hosts, the coordinator included: 0 and 1
+    # fork nothing, 2 forks one child, 3 forks two
+    reports = {w: _run(workers=w, die_node="n0",
+                       die_at=120_000.0).to_json()
+               for w in (0, 1, 2, 3)}
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+    assert reports[3] == reports[0]
+
+
 def test_identity_with_obs_aggregation():
     topo = _topology()
     kwargs = dict(router=ConsistentHashRouter(topo, key="request"),

@@ -51,6 +51,25 @@ def test_validation_errors():
         Topology(nodes=_nodes(2)).node("missing")
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"link_ns": NAN}, "link_ns"),
+    ({"link_ns": INF}, "link_ns"),
+    ({"epoch_ns": NAN}, "epoch_ns"),
+    ({"epoch_ns": INF}, "epoch_ns"),
+    ({"links": {("n0", "n1"): NAN}}, r"link \('n0', 'n1'\)"),
+    ({"links": {("n0", "n1"): INF}}, r"link \('n0', 'n1'\)"),
+])
+def test_non_finite_latencies_rejected(kwargs, field):
+    # NaN compares false against every bound, so only an explicit
+    # finiteness check keeps it out of the lookahead and epoch math
+    with pytest.raises(ValueError, match=field):
+        Topology(nodes=_nodes(2), **kwargs)
+
+
 def test_describe_is_stable():
     topo = Topology(nodes=_nodes(4), link_ns=25_000.0)
     assert topo.describe() == topo.describe()
