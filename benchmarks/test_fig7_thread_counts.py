@@ -8,7 +8,7 @@ threads per task grow.
 from conftest import bench_tasks
 
 from repro.bench import fig7
-from repro.sim.trace import geometric_mean
+from repro.bench.harness import geometric_mean
 
 
 def test_fig7_thread_count_sweep(benchmark, report_sink):

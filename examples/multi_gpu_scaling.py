@@ -15,8 +15,8 @@ import tempfile
 
 from repro.core import PagodaConfig, run_multi_gpu_pagoda
 from repro.gpu.phases import Phase
+from repro.obs import export_chrome_trace
 from repro.tasks import TaskSpec
-from repro.traceviz import export_chrome_trace
 
 
 def heavy_kernel(task, block_id, warp_id):

@@ -30,8 +30,9 @@ from repro.gpu.occupancy import blocks_per_smm, registers_per_block
 from repro.gpu.phases import BlockSync, Phase
 from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
+from repro.obs.registry import Gauge
 from repro.pcie.bus import Direction, PcieBus
-from repro.sim import Engine, Event, FifoResource, Store, TimeWeighted
+from repro.sim import Engine, Event, FifoResource, Store
 from repro.tasks import RunStats, TaskResult, TaskSpec
 
 #: Registers per thread the SuperKernel compiles to (same -maxrregcount
@@ -64,7 +65,7 @@ class _GemtcDevice:
         self.functional = functional
         self.queue: Store = Store(engine, "gemtc.fifo")
         self.queue_lock = FifoResource(engine, 1, "gemtc.queue_lock")
-        self.busy_warps = TimeWeighted()
+        self.busy_warps = Gauge("gemtc.busy_warps")
         self.worker_warps = -(-worker_threads // 32)
         regs = registers_per_block(gpu.spec, worker_threads, WORKER_REGS)
         per_smm = blocks_per_smm(gpu.spec, worker_threads, WORKER_REGS, 0)

@@ -16,12 +16,12 @@ from typing import Dict, List, Optional
 
 from repro.bench.harness import (
     default_num_tasks,
+    geometric_mean,
     make_tasks,
     run_tasks,
     strip_shared_mem,
 )
 from repro.bench.reporting import format_table, paper_vs_measured
-from repro.sim.trace import geometric_mean
 
 WORKLOADS = ["mb", "fb", "bf", "conv", "dct", "mm", "slud", "3des", "mpe"]
 RUNTIMES = ["hyperq", "gemtc", "pagoda"]

@@ -16,9 +16,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.bench.harness import default_num_tasks, run_tasks, speedups_vs
+from repro.bench.harness import (
+    default_num_tasks,
+    geometric_mean,
+    run_tasks,
+    speedups_vs,
+)
 from repro.bench.reporting import format_table, paper_vs_measured
-from repro.sim.trace import geometric_mean
 from repro.workloads import REGISTRY
 
 WORKLOADS = ["mb", "conv", "dct", "fb", "bf", "mm", "3des", "mpe"]

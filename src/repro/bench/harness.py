@@ -14,6 +14,7 @@ scaled-down task count with identical per-task geometry; set
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, Dict, List, Optional
 
@@ -26,7 +27,6 @@ from repro.baselines import (
 )
 from repro.core import PagodaConfig, run_pagoda
 from repro.cpu import run_pthreads, run_sequential
-from repro.sim.trace import geometric_mean
 from repro.tasks import RunStats, TaskSpec
 from repro.workloads import REGISTRY
 
@@ -170,6 +170,15 @@ def speedups_vs(stats: Dict[str, RunStats], baseline: str) -> Dict[str, float]:
         name: s.speedup_over(base) if name != baseline else 1.0
         for name, s in stats.items()
     }
+
+
+def geometric_mean(values: List[float]) -> float:
+    """Geometric mean; the paper's summary statistic for speedups."""
+    if not values:
+        raise ValueError("empty sequence")
+    if any(v <= 0 for v in values):
+        raise ValueError("geometric mean requires positive values")
+    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def geomean_speedup(per_workload: Dict[str, Dict[str, float]],

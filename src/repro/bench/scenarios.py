@@ -2,7 +2,7 @@
 
 Runs every registered :mod:`repro.scenarios` scenario at its default
 seed and reports one pass/fail line per scenario (the same lines the
-CI ``scenario-matrix`` job puts in its summary).  The cell also
+CI ``extras`` job puts in its summary).  The cell also
 re-asserts the catalog's core promise before reporting: a repeat run
 of a scenario reproduces its result digest byte for byte — a verdict
 that changes between runs is not a verdict.

@@ -64,9 +64,6 @@ class PagodaConfig:
     #: blocking the scheduler warp (Algorithm 1 blocks).  Required for
     #: priorities to reorder a deep backlog.
     deferred_scheduling: bool = False
-    #: record scheduler decisions (promote/schedule/defer/task_done)
-    #: into ``session.scheduler_trace`` (a Recorder).
-    trace_scheduler: bool = False
     #: extension: merge back-to-back same-direction PCIe transactions
     #: (skip the per-transaction setup when the stream never idled).
     #: Off by default so figure numbers match the paper's cost model.
@@ -144,16 +141,11 @@ class PagodaSession:
             quarantine_threshold=self.config.quarantine_threshold,
             obs=self.obs,
         )
-        from repro.sim import Recorder
-        self.scheduler_trace = (
-            Recorder() if self.config.trace_scheduler else None
-        )
         self.master = MasterKernel(
             self.engine, self.gpu, self.table,
             functional=self.config.functional,
             serial_psched=self.config.serial_psched,
             deferred_scheduling=self.config.deferred_scheduling,
-            trace=self.scheduler_trace,
             watchdog_deadline_ns=self.config.watchdog_deadline_ns,
             faults=self.faults,
             obs=self.obs,

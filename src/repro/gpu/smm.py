@@ -19,7 +19,8 @@ from typing import Generator
 from repro.gpu.phases import Phase
 from repro.gpu.spec import GpuSpec
 from repro.gpu.timing import TimingModel
-from repro.sim import Engine, ProcessorSharing, TimeWeighted
+from repro.obs.registry import Gauge
+from repro.sim import Engine, ProcessorSharing
 
 
 class Smm:
@@ -42,7 +43,8 @@ class Smm:
         self.free_blocks = spec.max_blocks_per_smm
         self.free_registers = spec.registers_per_smm
         self.free_shared_mem = spec.shared_mem_per_smm
-        self.resident_warps = TimeWeighted()
+        #: owned, not registered: mean_occupancy reads it with obs off
+        self.resident_warps = Gauge(f"gpu.smm{index}.resident_warps")
         #: optional :class:`repro.obs.Obs`: the per-SMM occupancy
         #: timeline (resident warps over virtual time, a Perfetto
         #: counter track).  ``None`` costs nothing.

@@ -15,9 +15,6 @@ carrying up to four layers:
   promote/schedule/defer decisions, drops), rendered as Chrome instant
   events on their own track.
 
-:mod:`repro.traceviz` re-exports the plain-run and serve entry points,
-so existing callers keep working; the obs-aware exporters live here.
-
 Note on the queued span: a task spawned at t=0 whose scheduling also
 happened at t=0 *was* queued (for zero time) and gets a zero-duration
 span — dropping it (as the seed's ``sched_time > 0`` predicate did)
@@ -31,9 +28,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.tasks import RunStats
+if TYPE_CHECKING:
+    # annotation only: the hardware models import repro.obs.registry,
+    # and a runtime import here would close a cycle through repro.tasks
+    from repro.tasks import RunStats
 
 #: trace-event timestamps are microseconds
 _NS_PER_US = 1e3

@@ -53,22 +53,25 @@ class Gauge:
     """A piecewise-constant level with time-weighted averaging.
 
     ``add``/``set`` take the current virtual time; ``average(end)``
-    integrates the level over the run (the same convention as
-    :class:`repro.sim.trace.TimeWeighted`, which experiments already
-    use for occupancy).
+    integrates the level over the run and ``integral(end)`` returns the
+    raw level-time area.  Besides the registered ``obs`` gauges, the
+    hardware models own private instances for occupancy (SMM resident
+    warps, MTB busy executor warps), which exist with obs off because
+    ``RunStats.mean_occupancy`` is read from them.
     """
 
-    __slots__ = ("name", "_value", "_last", "_integral", "_start", "peak")
+    __slots__ = ("name", "_value", "_last", "_integral", "peak")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._value = 0.0
         self._last = 0.0
         self._integral = 0.0
-        self._start = 0.0
         self.peak = 0.0
 
     def set(self, time: float, value: float) -> None:
+        if time < self._last:
+            raise ValueError("time went backwards")
         self._integral += self._value * (time - self._last)
         self._value = value
         self._last = time
@@ -76,17 +79,33 @@ class Gauge:
             self.peak = value
 
     def add(self, time: float, delta: float) -> None:
-        self.set(time, self._value + delta)
+        # inlined set(): this runs once per warp start and finish
+        if time < self._last:
+            raise ValueError("time went backwards")
+        value = self._value + delta
+        self._integral += self._value * (time - self._last)
+        self._value = value
+        self._last = time
+        if value > self.peak:
+            self.peak = value
 
     @property
     def current(self) -> float:
         return self._value
 
     def average(self, end: float) -> float:
-        span = end - self._start
-        if span <= 0:
+        """Mean level over ``[0, end]`` (every run's clock starts at 0)."""
+        if end <= 0:
             return self._value
-        return (self._integral + self._value * (end - self._last)) / span
+        return (self._integral + self._value * (end - self._last)) / end
+
+    def integral(self, end: float) -> float:
+        """Level-time area up to ``end``.  Differences between two
+        reads give a window's integral, which the elastic rebalancer
+        turns into window utilization."""
+        if end <= self._last:
+            return self._integral
+        return self._integral + self._value * (end - self._last)
 
 
 class Distribution:
@@ -416,12 +435,15 @@ def aggregate_snapshots(snaps: Dict[str, dict]) -> dict:
         rows = _rows("distributions", n)
         count = sum(r["count"] for r in rows)
         total = sum(r["sum"] for r in rows)
+        # an empty distribution snapshots min/max as 0.0; that is a
+        # placeholder, not a sample, so it must not enter the extremes
+        sampled = [r for r in rows if r["count"]]
         distributions[n] = {
             "count": count,
             "sum": round(total, 6),
             "mean": round(total / count, 6) if count else 0.0,
-            "min": min(r["min"] for r in rows),
-            "max": max(r["max"] for r in rows),
+            "min": min(r["min"] for r in sampled) if sampled else 0.0,
+            "max": max(r["max"] for r in sampled) if sampled else 0.0,
         }
     vt_histograms = {
         n: {"total_weight_ns": round(

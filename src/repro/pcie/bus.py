@@ -24,7 +24,7 @@ import enum
 from typing import Generator
 
 from repro.gpu.timing import TimingModel
-from repro.sim import Engine, FifoResource, Recorder
+from repro.sim import Engine, FifoResource
 
 
 class Direction(enum.Enum):
@@ -68,7 +68,6 @@ class PcieBus:
             Direction.H2D: FifoResource(engine, 1, "pcie.h2d"),
             Direction.D2H: FifoResource(engine, 1, "pcie.d2h"),
         }
-        self.recorder = Recorder()
         self.bytes_moved = {Direction.H2D: 0, Direction.D2H: 0}
         self.transactions = {Direction.H2D: 0, Direction.D2H: 0}
         #: transactions that rode an already-open stream (coalesce on).
@@ -139,9 +138,6 @@ class PcieBus:
         if obs is not None:
             self._obs_bytes[direction].inc(nbytes)
             self._obs_txns[direction].inc()
-        self.recorder.sample(
-            f"transfer.{direction.value}", self.engine.now, float(nbytes)
-        )
 
     def busy_time(self, direction: Direction) -> float:
         """Total service time charged so far in one direction.

@@ -11,7 +11,7 @@ a report diffable evidence rather than a log file.
 The report also keeps the raw material richer consumers need: the full
 request list (for per-request trace spans) and the counter timeline
 (queue depth / in-flight / drops over virtual time, for the
-:mod:`repro.traceviz` counter rows).  Neither is part of the JSON
+:mod:`repro.obs.perfetto` counter rows).  Neither is part of the JSON
 digest.
 """
 
@@ -155,7 +155,7 @@ class ServeReport:
     def run_stats(self) -> RunStats:
         """The completed requests as a :class:`RunStats` (one result
         per request, batched requests sharing their fused task's
-        timestamps) so every RunStats consumer — traceviz spans,
+        timestamps) so every RunStats consumer — Chrome-trace spans,
         percentile helpers — works on a serving run unchanged."""
         results = []
         for req in self.requests:

@@ -281,7 +281,7 @@ class TaskServer:
         }
         #: counter timeline: (t_ns, queue_depth, inflight, dropped,
         #: finished) — one row per state change (same-instant rows
-        #: coalesced), feeding the traceviz counter export.
+        #: coalesced), feeding the Chrome-trace counter export.
         self.timeline: List[tuple] = []
 
         self._work = Signal()

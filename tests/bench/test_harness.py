@@ -1,11 +1,14 @@
 """Bench harness behaviour: routing, scaling, shared-mem stripping."""
 
+import math
+
 import pytest
 
 from repro.bench.harness import (
     RUNTIMES,
     copy_fraction,
     default_num_tasks,
+    geometric_mean,
     make_tasks,
     run_benchmark,
     run_tasks,
@@ -83,3 +86,21 @@ def test_copy_fraction_small_without_payload_copies():
     with_copies = run_benchmark("mb", "pagoda", num_tasks=8)
     without = run_benchmark("mb", "pagoda", num_tasks=8, copies=False)
     assert without.copy_time < with_copies.copy_time
+
+
+def test_geometric_mean_basic():
+    assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
+    assert geometric_mean([5.0]) == pytest.approx(5.0)
+
+
+def test_geometric_mean_matches_paper_style():
+    speedups = [1.2, 1.5, 2.0, 0.9]
+    expected = math.exp(sum(math.log(s) for s in speedups) / 4)
+    assert geometric_mean(speedups) == pytest.approx(expected)
+
+
+def test_geometric_mean_rejects_bad_input():
+    with pytest.raises(ValueError):
+        geometric_mean([])
+    with pytest.raises(ValueError):
+        geometric_mean([1.0, 0.0])

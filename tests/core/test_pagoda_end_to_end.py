@@ -20,7 +20,10 @@ from repro.core import (
 from repro.core.masterkernel import MTBS_PER_SMM
 from repro.gpu import Gpu, titan_x
 from repro.gpu.phases import BLOCK_SYNC, Phase
+from repro.obs import Obs
 from repro.tasks import TaskResult, TaskSpec
+
+from tests.sched_decisions import decision_series
 
 
 def const_kernel(inst, mem=0.0):
@@ -301,7 +304,7 @@ def test_sequential_spawn_promotion_chain_integrity():
     """Every task (except the pipeline tail) is promoted exactly once
     by its successor; the tail by the host.  The chain must hold for a
     long single-column-colliding sequence."""
-    session = PagodaSession(config=PagodaConfig(trace_scheduler=True))
+    session = PagodaSession(config=PagodaConfig(obs=Obs(profile=False)))
     eng, host = session.engine, session.host
     n = 200
 
@@ -314,8 +317,8 @@ def test_sequential_spawn_promotion_chain_integrity():
 
     eng.spawn(driver())
     eng.run()
-    trace = session.scheduler_trace
-    promoted = trace.values("promote")
+    promoted = [task_id for _t, task_id
+                in decision_series(session.obs)["promote"]]
     session.shutdown()
     # n-1 scheduler-side promotions, no double promotion
     assert len(promoted) == n - 1

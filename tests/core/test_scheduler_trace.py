@@ -1,8 +1,11 @@
-"""Scheduler-decision tracing."""
+"""Scheduler-decision tracing through the ``Obs`` event stream."""
 
 from repro.core import PagodaConfig, PagodaSession
 from repro.gpu.phases import Phase
+from repro.obs import Obs
 from repro.tasks import TaskResult, TaskSpec
+
+from tests.sched_decisions import decision_series
 
 
 def kernel(task, block_id, warp_id):
@@ -10,7 +13,7 @@ def kernel(task, block_id, warp_id):
 
 
 def run_traced(n_tasks=10, **config_kw):
-    session = PagodaSession(config=PagodaConfig(trace_scheduler=True,
+    session = PagodaSession(config=PagodaConfig(obs=Obs(profile=False),
                                                 **config_kw))
     eng, host = session.engine, session.host
     ids = []
@@ -25,43 +28,35 @@ def run_traced(n_tasks=10, **config_kw):
     eng.spawn(driver())
     eng.run()
     session.shutdown()
-    return session, ids
+    return decision_series(session.obs), ids
 
 
 def test_trace_records_full_lifecycle():
-    session, ids = run_traced(10)
-    trace = session.scheduler_trace
+    trace, ids = run_traced(10)
     # the pipeline tail is promoted by the host's finalization, not a
     # scheduler warp: n-1 scheduler-side promotions
-    assert trace.count("promote") == 9
-    assert trace.count("schedule") == 10
-    assert trace.count("task_done") == 10
+    assert len(trace["promote"]) == 9
+    assert len(trace["schedule"]) == 10
+    assert len(trace["task_done"]) == 10
     # every spawned task appears in the terminal stage
-    assert sorted(trace.values("task_done")) == sorted(ids)
+    assert sorted(v for _t, v in trace["task_done"]) == sorted(ids)
 
 
 def test_trace_event_ordering_per_task():
-    session, ids = run_traced(6)
-    trace = session.scheduler_trace
-    promotes = dict((v, t) for t, v in trace.series("promote"))
+    trace, ids = run_traced(6)
+    promotes = dict((v, t) for t, v in trace["promote"])
     for tid in ids:
-        t_sched = next(t for t, v in trace.series("schedule") if v == tid)
-        t_done = next(t for t, v in trace.series("task_done") if v == tid)
+        t_sched = next(t for t, v in trace["schedule"] if v == tid)
+        t_done = next(t for t, v in trace["task_done"] if v == tid)
         assert t_sched <= t_done
         if tid in promotes:  # the tail task is host-finalized instead
             assert promotes[tid] <= t_sched
 
 
-def test_trace_disabled_by_default():
-    session = PagodaSession()
-    assert session.scheduler_trace is None
-    session.shutdown()
-
-
 def test_defer_events_recorded():
     """A wide flood on the deferred scheduler produces defer events."""
     session = PagodaSession(config=PagodaConfig(
-        trace_scheduler=True, deferred_scheduling=True))
+        obs=Obs(profile=False), deferred_scheduling=True))
     eng, host = session.engine, session.host
 
     def heavy(task, block_id, warp_id):
@@ -75,7 +70,7 @@ def test_defer_events_recorded():
 
     eng.spawn(driver())
     eng.run()
-    trace = session.scheduler_trace
+    trace = decision_series(session.obs)
     session.shutdown()
-    assert trace.count("defer") > 0
-    assert trace.count("task_done") == 600
+    assert len(trace.get("defer", [])) > 0
+    assert len(trace["task_done"]) == 600

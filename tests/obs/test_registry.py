@@ -7,7 +7,9 @@ from repro.obs import (
     NULL_GAUGE,
     NULL_SERIES,
     SNAPSHOT_SCHEMA,
+    Gauge,
     Obs,
+    aggregate_snapshots,
     validate_snapshot,
 )
 
@@ -40,6 +42,58 @@ def test_gauge_time_weighted_average_and_peak():
     assert g.current == 6.0
     assert g.peak == 6.0
     assert g.average(20.0) == pytest.approx((2 * 10 + 6 * 10) / 20)
+
+
+def test_gauge_constant_level():
+    g = Gauge("level")
+    g.set(0.0, 5.0)
+    assert g.average(10.0) == 5.0
+
+
+def test_gauge_step():
+    g = Gauge("level")
+    g.set(0.0, 0.0)
+    g.set(5.0, 10.0)  # 0 for [0,5), 10 for [5,10)
+    assert g.average(10.0) == pytest.approx(5.0)
+    assert g.peak == 10.0
+    assert g.current == 10.0
+
+
+def test_gauge_add():
+    g = Gauge("level")
+    g.add(2.0, 4.0)
+    g.add(4.0, -4.0)
+    # value 0 on [0,2), 4 on [2,4), 0 afterwards
+    assert g.average(8.0) == pytest.approx(1.0)
+
+
+def test_gauge_zero_span_average_is_current():
+    g = Gauge("level")
+    g.set(0.0, 3.0)
+    assert g.average(0.0) == 3.0
+
+
+def test_gauge_backwards_time_raises():
+    g = Gauge("level")
+    g.set(5.0, 1.0)
+    with pytest.raises(ValueError, match="time went backwards"):
+        g.set(4.0, 2.0)
+    with pytest.raises(ValueError, match="time went backwards"):
+        g.add(4.0, 1.0)
+
+
+def test_gauge_integral_windows():
+    """Differences of integral() between two reads give the window's
+    level-time area (what the elastic rebalancer computes)."""
+    g = Gauge("busy")
+    g.add(0.0, 2.0)    # 2 over [0, 10)
+    g.add(10.0, 3.0)   # 5 over [10, 30)
+    assert g.integral(10.0) == 20.0
+    assert g.integral(30.0) == 120.0
+    assert g.integral(30.0) - g.integral(10.0) == 100.0
+    # a read at or before the last change returns the settled area
+    assert g.integral(5.0) == 20.0
+    assert g.average(30.0) == 4.0
 
 
 def test_vt_histogram_weights_by_dwell_time():
@@ -126,3 +180,27 @@ def test_validate_snapshot_rejects_malformed():
     bad_profile = {**good, "profile": {"top": [{"name": 3}]}}
     with pytest.raises(ValueError, match="heap_peak|top"):
         validate_snapshot(bad_profile)
+
+
+def test_aggregate_distribution_extremes_skip_empty_nodes():
+    """An empty distribution snapshots min/max as 0.0 placeholders;
+    merging it must not drag the fleet min down to 0.0."""
+    sampled = Obs(profile=False)
+    sampled.distribution("pcie.d2h.queue_wait_ns").record(5.0)
+    empty = Obs(profile=False)
+    empty.distribution("pcie.d2h.queue_wait_ns")
+    agg = aggregate_snapshots({"n0": sampled.snapshot(),
+                               "n1": empty.snapshot()})
+    row = agg["distributions"]["pcie.d2h.queue_wait_ns"]
+    assert row["count"] == 1
+    assert row["min"] == 5.0
+    assert row["max"] == 5.0
+
+
+def test_aggregate_all_empty_distribution_reports_zero():
+    a, b = Obs(profile=False), Obs(profile=False)
+    a.distribution("d")
+    b.distribution("d")
+    agg = aggregate_snapshots({"a": a.snapshot(), "b": b.snapshot()})
+    assert agg["distributions"]["d"] == {
+        "count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0}

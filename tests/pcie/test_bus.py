@@ -103,7 +103,7 @@ def test_recorder_samples_transfers():
 
     eng.spawn(proc())
     eng.run()
-    assert bus.recorder.count("transfer.host_to_device") == 1
+    assert bus.transactions[Direction.H2D] == 1
 
 
 def test_fifo_order_preserved_under_random_sizes():

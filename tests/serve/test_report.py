@@ -7,10 +7,10 @@ import pytest
 from repro.core import PagodaConfig
 from repro.faults import FaultPlan
 from repro.gpu.phases import Phase
+from repro.obs import chrome_trace_events
 from repro.serve import (STAGES, PoissonArrivals, ServeConfig, SloClass,
                          TenantSpec, serve)
 from repro.tasks import TaskSpec
-from repro.traceviz import chrome_trace_events
 
 
 def kernel(task, block_id, warp_id):
@@ -105,7 +105,7 @@ def test_goodput_and_deadlines():
     assert rep.goodput_per_s <= rep.throughput_per_s + 1e-9
 
 
-def test_run_stats_bridges_to_traceviz():
+def test_run_stats_bridges_to_chrome_trace():
     rep = run_once()
     stats = rep.run_stats()
     assert len(stats.results) == rep.completed

@@ -263,7 +263,10 @@ def _runtime_layer_trace(use_seed_ps):
     """
     from repro.core import PagodaConfig
     from repro.core.runtime import PagodaSession
+    from repro.obs import Obs
     from repro.tasks import TaskResult
+
+    from tests.sched_decisions import decision_series
 
     tasks = make_tasks("mpe", 24, 128, seed=5)
     originals = (smm_mod.ProcessorSharing, device_mod.ProcessorSharing)
@@ -272,7 +275,7 @@ def _runtime_layer_trace(use_seed_ps):
         device_mod.ProcessorSharing = ReferenceProcessorSharing
     try:
         session = PagodaSession(config=PagodaConfig(
-            copy_inputs=False, copy_outputs=False, trace_scheduler=True))
+            copy_inputs=False, copy_outputs=False, obs=Obs(profile=False)))
         alloc_log = []
         for mtb in session.master.mtbs:
             def logged_alloc(size, _buddy=mtb.buddy, _col=mtb.column,
@@ -292,9 +295,9 @@ def _runtime_layer_trace(use_seed_ps):
 
         eng.spawn(driver())
         eng.run()
-        trace = session.scheduler_trace
         decisions = tuple(
-            (name, tuple(trace.series(name))) for name in trace.names()
+            (name, tuple(series))
+            for name, series in decision_series(session.obs).items()
         )
         session.shutdown()
         return decisions, tuple(alloc_log), eng.now

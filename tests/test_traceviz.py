@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from repro.tasks import RunStats, TaskResult
-from repro.traceviz import (
+from repro.obs import (
     chrome_trace_events,
     export_chrome_trace,
     export_serve_trace,
     serve_counter_events,
 )
+from repro.tasks import RunStats, TaskResult
 
 
 def make_stats(n=3):
