@@ -8,7 +8,7 @@ of a scenario reproduces its result digest byte for byte — a verdict
 that changes between runs is not a verdict.
 
 ``python -m repro.bench scenarios --check`` exits non-zero if any
-scenario fails, which is how CI and ``scripts/bench.py`` consume it.
+scenario fails, which is how CI's ``extras`` job consumes it.
 """
 
 from __future__ import annotations

@@ -73,12 +73,14 @@ class CudaLaunchError(RuntimeError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Capped exponential backoff for ``task_spawn_with_retry``.
+    """Capped exponential backoff for ``task_spawn_with_retry`` and
+    ``task_spawn_relaunch``.
 
     Attempt ``k`` (0-based) that fails sleeps
     ``min(backoff_base_ns * 2**k, backoff_cap_ns)`` before re-spawning;
-    after ``max_attempts`` total attempts the last :class:`TaskError`
-    propagates to the caller.
+    after ``max_attempts`` total attempts the last error
+    (:class:`TaskError` or :class:`CudaLaunchError`) propagates to the
+    caller.
     """
 
     max_attempts: int = 3

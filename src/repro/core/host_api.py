@@ -225,6 +225,16 @@ class PagodaHost:
 
     # -- hardened spawn (retry with capped exponential backoff) ----------------
 
+    def task_spawn_relaunch(self, spec: TaskSpec, result: TaskResult):
+        """taskSpawn that re-issues a failed launch (an injected
+        ``cudaErrorLaunchFailure``) after the default
+        :class:`RetryPolicy`'s capped exponential backoff instead of
+        dying; subroutine returns the taskID.  After
+        ``max_attempts`` failed launches the last
+        :class:`CudaLaunchError` propagates."""
+        return self._spawn_retrying(spec, result, None, _caller_site(),
+                                    wait=False)
+
     def task_spawn_with_retry(self, spec: TaskSpec,
                               result: Optional[TaskResult] = None,
                               policy: Optional[RetryPolicy] = None):
@@ -232,20 +242,20 @@ class PagodaHost:
         backoff); subroutine returns the taskID of the attempt that
         completed.  After ``policy.max_attempts`` failures the last
         error propagates."""
-        return self._task_spawn_with_retry(spec, result, policy,
-                                           _caller_site())
+        return self._spawn_retrying(spec, result, policy, _caller_site(),
+                                    wait=True)
 
-    def _task_spawn_with_retry(self, spec: TaskSpec,
-                               result: Optional[TaskResult],
-                               policy: Optional[RetryPolicy],
-                               spawn_site: str) -> Generator:
+    def _spawn_retrying(self, spec: TaskSpec, result: Optional[TaskResult],
+                        policy: Optional[RetryPolicy], spawn_site: str,
+                        wait: bool) -> Generator:
         policy = policy or RetryPolicy()
         attempt = 0
         while True:
             try:
-                res = result if result is not None else TaskResult(0, spec.name)
-                task_id = yield from self._task_spawn(spec, res, spawn_site)
-                yield from self.wait(task_id)
+                task_id = yield from self._task_spawn(spec, result,
+                                                      spawn_site)
+                if wait:
+                    yield from self.wait(task_id)
                 return task_id
             except (TaskError, CudaLaunchError):
                 attempt += 1

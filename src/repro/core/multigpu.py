@@ -8,30 +8,35 @@ host load-balances ``taskSpawn`` calls by shortest observed queue.
 
 Everything else is unchanged — the per-GPU stack is exactly
 :class:`~repro.core.runtime.PagodaSession`, sharing one simulated
-clock.
+clock, and the host side is the same
+:class:`~repro.core.driver.HostDriver` that
+:func:`~repro.core.runtime.run_pagoda` uses:
+one spawner, one collector per GPU.  With one GPU the schedule is
+``run_pagoda``'s, bit for bit; every knob of
+:class:`~repro.core.runtime.PagodaConfig` (gaps, open loop, batching,
+copies) means the same thing here.
 
 **Graceful degradation**: a GPU can die mid-run (an injected
 ``gpu.die`` fault or an explicit :meth:`MultiGpuPagoda.kill_gpu`).
 The node marks the device's host dead — its spawn/wait loops raise
-:class:`~repro.core.errors.GpuDeadError` instead of spinning — and the
-driver re-queues every task that was in flight on the dead device onto
-the survivors.  Throughput degrades proportionally; the run never
+:class:`~repro.core.errors.GpuDeadError` instead of spinning — and
+:meth:`~repro.core.driver.HostDriver.requeue` hands every task that was
+in flight on the dead device back to the spawner for the survivors.  Throughput degrades proportionally; the run never
 deadlocks, and each failover is recorded as a
 :class:`~repro.core.errors.DegradationEvent`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional
+from typing import List, Optional
 
+from repro.core.driver import HostDriver
 from repro.core.errors import DegradationEvent, GpuDeadError
 from repro.core.runtime import PagodaConfig, PagodaSession
 from repro.gpu.spec import GpuSpec
 from repro.gpu.timing import TimingModel
-from repro.pcie.bus import Direction
 from repro.sim import Engine
-from repro.tasks import RunStats, TaskResult, TaskSpec
+from repro.tasks import RunStats, TaskSpec
 
 
 class MultiGpuPagoda:
@@ -85,9 +90,9 @@ class MultiGpuPagoda:
         on.  Refuses to kill the last surviving GPU (there would be
         nothing to fail over to).  Returns whether the kill happened.
 
-        Re-queueing the dead device's in-flight tasks is the driver's
-        job (it owns the task bookkeeping) — see
-        :func:`run_multi_gpu_pagoda`.
+        Re-queueing the dead device's in-flight tasks is the host
+        driver's job (it owns the task bookkeeping) — see
+        :meth:`~repro.core.driver.HostDriver.requeue`.
         """
         if gpu_idx in self.dead_gpus or len(self.survivors) <= 1:
             return False
@@ -111,79 +116,28 @@ def run_multi_gpu_pagoda(tasks: List[TaskSpec],
                          config: Optional[PagodaConfig] = None) -> RunStats:
     """Execute ``tasks`` across ``num_gpus`` Pagoda stacks.
 
-    Survives mid-run GPU death: in-flight tasks of a dead device are
-    re-spawned on the survivors and the failover is recorded in
+    The host driver (:mod:`repro.core.driver`) places each spawn on
+    the shortest queue; with one GPU the schedule is exactly that of
+    :func:`~repro.core.runtime.run_pagoda`.  Survives mid-run GPU
+    death: in-flight tasks of a dead device are re-spawned on the
+    survivors and the failover is recorded in
     ``stats.meta["degradation_events"]``.
     """
     config = config or PagodaConfig()
     node = MultiGpuPagoda(num_gpus, spec, timing, config)
     engine = node.engine
-    timing = node.sessions[0].timing
-    results = [TaskResult(i, t.name) for i, t in enumerate(tasks)]
-    placements: List[int] = [-1] * len(tasks)
-    #: task indices not yet (or no longer) handed to a GPU.
-    pending = deque(range(len(tasks)))
-    #: per-GPU map of live taskID -> task index, for failover.
-    inflight: List[Dict[int, int]] = [{} for _ in range(num_gpus)]
-    done = [False] * len(tasks)
-    remaining = [len(tasks)]
-    finish_time = [0.0]
-    spawner_procs: List = []
+    driver = HostDriver(node, tasks, config)
 
-    def spawner():
-        while pending:
-            i = pending.popleft()
-            task = tasks[i]
-            first_spawn = results[i].spawn_time == 0.0
-            if config.spawn_gap_ns and first_spawn:
-                yield config.spawn_gap_ns
-            gpu_idx = node.pick_gpu()
-            session = node.sessions[gpu_idx]
-            if first_spawn:
-                results[i].spawn_time = engine.now
-            if config.copy_inputs and task.input_bytes:
-                yield timing.memcpy_issue_ns
-                engine.spawn(
-                    session.bus.transfer(task.input_bytes, Direction.H2D),
-                    f"incopy.{i}",
-                )
-            try:
-                task_id = yield from session.host.task_spawn(task, results[i])
-            except GpuDeadError:
-                # the device died while this spawn was in flight —
-                # put the task back and try a survivor
-                pending.appendleft(i)
-                continue
-            placements[i] = gpu_idx
-            node._outstanding[gpu_idx] += 1
-            inflight[gpu_idx][task_id] = i
-
-    def done_spawning() -> bool:
-        return not pending and not any(p.alive for p in spawner_procs)
-
-    spawner_procs.append(engine.spawn(spawner(), "mg-spawner"))
-
-    def fail_over(gpu_idx: int, reason: str = "gpu.die") -> None:
+    def fail_over(gpu_idx: int, reason: str) -> None:
         """Kill one GPU and re-queue its in-flight tasks."""
         if not node.kill_gpu(gpu_idx):
             return
-        lost = inflight[gpu_idx]
-        inflight[gpu_idx] = {}
-        indices = sorted(lost.values())
-        for i in indices:
-            placements[i] = -1
-            pending.append(i)
+        resubmitted = driver.requeue(gpu_idx)
         node.degradation_events.append(DegradationEvent(
             when_ns=engine.now, gpu_index=gpu_idx,
-            resubmitted=len(indices), survivors=tuple(node.survivors),
+            resubmitted=resubmitted, survivors=tuple(node.survivors),
             reason=reason,
         ))
-        if pending and not any(p.alive for p in spawner_procs):
-            # the original spawner already finished; re-queue needs a
-            # fresh one or the failed-over work would never be issued
-            spawner_procs.append(
-                engine.spawn(spawner(), f"mg-respawner.{gpu_idx}")
-            )
 
     if node.faults is not None:
         for die in node.faults.time_triggered("gpu.die"):
@@ -195,57 +149,16 @@ def run_multi_gpu_pagoda(tasks: List[TaskSpec],
 
             engine.call_at(die.at_ns, fire)
 
-    def collector(gpu_idx: int):
-        session = node.sessions[gpu_idx]
-        host, table = session.host, session.table
-        transfers = []
-        while True:
-            if host.dead:
-                break  # fail_over re-queued this device's tasks
-            if done_spawning():
-                yield from host.finalize_last()
-            yield timing.wait_timeout_ns
-            if host.dead:
-                break
-            yield from table.copy_back()
-            # push-based completion reporting (no per-poll set diff)
-            for task_id in table.drain_completions():
-                i = inflight[gpu_idx].pop(task_id, None)
-                if i is None or done[i]:
-                    continue
-                done[i] = True
-                remaining[0] -= 1
-                node._outstanding[gpu_idx] -= 1
-                col, row = table.id_map[task_id]
-                spec_done = table.cpu[col][row].spec
-                if (config.copy_outputs and spec_done is not None
-                        and spec_done.output_bytes):
-                    yield timing.memcpy_issue_ns
-                    transfers.append(engine.spawn(
-                        session.bus.transfer(spec_done.output_bytes,
-                                             Direction.D2H),
-                        f"outcopy.{gpu_idx}.{task_id}",
-                    ))
-            if done_spawning() and remaining[0] == 0:
-                break
-        for proc in transfers:
-            yield proc
-        finish_time[0] = max(finish_time[0], engine.now)
-
-    collectors = [engine.spawn(collector(i), f"mg-collector.{i}")
-                  for i in range(num_gpus)]
-    engine.run(raise_on_deadlock=True)
-    for proc in collectors:
-        if not proc._done:
-            raise RuntimeError("multi-GPU run did not complete")
-    makespan = finish_time[0]
+    driver.run()
+    results = driver.results
+    makespan = driver.finish_ns
     node.shutdown()
     executed = sum(s.master.tasks_executed() for s in node.sessions)
     failed = sum(s.master.tasks_failed() for s in node.sessions)
     clean = config.fault_plan is None and not node.degradation_events
     if clean and executed != len(tasks):
         raise RuntimeError(f"executed {executed} of {len(tasks)} tasks")
-    meta = {"placements": placements}
+    meta = {"placements": driver.placements}
     if not clean:
         meta.update({
             "tasks_failed": failed,

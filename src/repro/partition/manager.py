@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
-from repro.core.errors import CudaLaunchError, RetryPolicy
+from repro.core.driver import HostDriver, SingleNode
 from repro.core.host_api import PagodaHost
 from repro.core.masterkernel import MTBS_PER_SMM, MasterKernel
 from repro.core.runtime import PagodaConfig
@@ -46,9 +46,9 @@ from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
 from repro.partition.modes import mode_masks, validate_masks
 from repro.partition.quota import QuotaLedger
-from repro.pcie.bus import Direction, PcieBus
+from repro.pcie.bus import PcieBus
 from repro.sim import Engine, ProcessorSharing, Signal
-from repro.tasks import TaskResult, TaskSpec
+from repro.tasks import TaskSpec
 
 #: canonical report schema tag.
 SCHEMA = "repro.partition/1"
@@ -147,7 +147,6 @@ class Partition:
         self.obs = stack.obs
         #: the partition's virtual function: its own PCIe lanes.
         self.bus = PcieBus(self.engine, self.timing,
-                           coalesce=config.pcie_coalesce,
                            faults=self.faults, obs=self.obs)
         num_columns = self.spec.num_smms * MTBS_PER_SMM
         columns = [s * MTBS_PER_SMM + k
@@ -445,104 +444,47 @@ def run_partitioned(groups: Dict[str, List[TaskSpec]],
 
     ``groups`` maps partition name -> task list (missing partitions
     idle); ``gaps`` optionally spaces one group's spawns (open-loop,
-    task i arrives at ``i * gap``).  Returns one canonical
-    :class:`PartitionReport` per partition of the plan.
+    task i arrives at ``(i + 1) * gap``), so ``config.spawn_gap_ns``
+    and ``config.open_loop`` are rejected.  Each group is played
+    through its own :class:`~repro.core.driver.HostDriver`, which
+    claims the partition's quota before every spawn.  Returns one
+    canonical :class:`PartitionReport` per partition of the plan.
     """
     config = config or PagodaConfig()
+    for knob in ("spawn_gap_ns", "open_loop"):
+        if getattr(config, knob):
+            raise ValueError(
+                f"run_partitioned does not take PagodaConfig.{knob}: "
+                "space a partition's spawns with gaps={name: gap_ns} "
+                "(open loop)"
+            )
     stack = PartitionedStack(plan, spec, timing, config)
     engine = stack.engine
     unknown = set(groups) - set(stack.partitions)
     if unknown:
         raise ValueError(f"groups name unknown partitions: {sorted(unknown)}")
     gaps = gaps or {}
-    finish: Dict[str, float] = {p: 0.0 for p in stack.partitions}
-    claims: Dict[str, Dict[int, Tuple[int, int]]] = {
-        p: {} for p in stack.partitions
-    }
-    results: Dict[str, List[TaskResult]] = {
-        p: [TaskResult(i, t.name) for i, t in enumerate(groups.get(p, []))]
-        for p in stack.partitions
-    }
-    retry_policy = RetryPolicy()
-
-    def spawner(part: Partition, tasks: List[TaskSpec]) -> Generator:
-        gap = gaps.get(part.name, 0.0)
-        res = results[part.name]
-        for i, task in enumerate(tasks):
-            if gap:
-                arrival = (i + 1) * gap
-                if engine.now < arrival:
-                    yield arrival - engine.now
-                res[i].spawn_time = arrival
-            else:
-                res[i].spawn_time = engine.now
-            if config.copy_inputs and task.input_bytes:
-                yield part.timing.memcpy_issue_ns
-                engine.spawn(
-                    part.bus.transfer(task.input_bytes, Direction.H2D),
-                    f"{part.name}.incopy.{i}",
-                )
-            claim = yield from part.claim_quota(*task_demand(task))
-            attempt = 0
-            while True:
-                try:
-                    task_id = yield from part.host.task_spawn(task, res[i])
-                    break
-                except CudaLaunchError:
-                    attempt += 1
-                    if attempt >= retry_policy.max_attempts:
-                        part.release_quota(claim)
-                        raise
-                    yield retry_policy.backoff_ns(attempt - 1)
-            claims[part.name][task_id] = claim
-
-    def collector(part: Partition, tasks: List[TaskSpec],
-                  spawn_proc) -> Generator:
-        table, host = part.table, part.host
-        transfers = []
-        out_bytes = {t.name: t.output_bytes for t in tasks}
-        while True:
-            done_spawning = not spawn_proc.alive
-            if done_spawning:
-                yield from host.finalize_last()
-            yield part.timing.wait_timeout_ns
-            yield from table.copy_back()
-            for task_id in table.drain_completions():
-                claim = claims[part.name].pop(task_id, None)
-                if claim is not None:
-                    part.release_quota(claim)
-                nbytes = out_bytes.get(
-                    table.entry_for(task_id, "cpu").spec.name, 0
-                ) if task_id in table.id_map else 0
-                if config.copy_outputs and nbytes:
-                    yield part.timing.memcpy_issue_ns
-                    transfers.append(engine.spawn(
-                        part.bus.transfer(nbytes, Direction.D2H),
-                        f"{part.name}.outcopy.{task_id}",
-                    ))
-            if done_spawning and len(table.finished) >= len(tasks):
-                break
-        for proc in transfers:
-            yield proc
-        finish[part.name] = engine.now
-
+    drivers: Dict[str, HostDriver] = {}
     for name in sorted(stack.partitions):
-        tasks = groups.get(name, [])
-        if not tasks:
-            continue
         part = stack.partitions[name]
-        sp = engine.spawn(spawner(part, tasks), f"{name}.spawner")
-        stack.workload_procs.append(
-            engine.spawn(collector(part, tasks, sp), f"{name}.collector")
+        spacing = replace(config, spawn_gap_ns=gaps.get(name, 0.0),
+                          open_loop=True)
+        drivers[name] = HostDriver(
+            SingleNode(part), groups.get(name, []), spacing,
+            prefix=f"{name}.",
+            acquire=lambda t, p=part: p.claim_quota(*task_demand(t)),
+            release=part.release_quota,
         )
+        if drivers[name].tasks:
+            stack.workload_procs.extend(drivers[name].start())
     engine.run(raise_on_deadlock=True)
     stack.shutdown()
 
     reports: Dict[str, PartitionReport] = {}
     for name in sorted(stack.partitions):
         part = stack.partitions[name]
-        res = results[name]
-        end = finish[name]
+        res = drivers[name].results
+        end = drivers[name].finish_ns
         lat = [r.end_time - r.spawn_time for r in res
                if r.end_time > 0.0]
         reports[name] = PartitionReport(

@@ -33,7 +33,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
-from repro.core.errors import CudaLaunchError, RetryPolicy
 from repro.core.multigpu import MultiGpuPagoda
 from repro.core.runtime import PagodaConfig
 from repro.gpu.spec import GpuSpec
@@ -201,8 +200,6 @@ class ServeConfig:
     #: placement; ``gpu.die`` fault specs are not served — device
     #: failover stays with :func:`repro.core.run_multi_gpu_pagoda`).
     num_gpus: int = 1
-    #: histogram resolution: percentiles are exact to 2**-bits.
-    precision_bits: int = 10
     #: report label.
     label: str = "serve"
 
@@ -270,13 +267,12 @@ class TaskServer:
         self.max_inflight = 0
 
         #: latency accountant: total + per-stage + per-tenant.
-        bits = self.config.precision_bits
-        self.hist_total = LatencyHistogram(bits)
-        self.stage_hists = {s: LatencyHistogram(bits) for s in STAGES}
+        self.hist_total = LatencyHistogram()
+        self.stage_hists = {s: LatencyHistogram() for s in STAGES}
         self.tenant_stats: Dict[str, Dict] = {
             t.name: {"offered": 0, "dropped": 0, "completed": 0,
                      "failed": 0, "good": 0,
-                     "hist": LatencyHistogram(bits)}
+                     "hist": LatencyHistogram()}
             for t in self.tenants
         }
         #: counter timeline: (t_ns, queue_depth, inflight, dropped,
@@ -400,7 +396,6 @@ class TaskServer:
 
     def _dispatch(self) -> Generator:
         engine = self.engine
-        retry_policy = RetryPolicy()
         while True:
             if len(self.queue) == 0:
                 if self._generators_done():
@@ -430,16 +425,8 @@ class TaskServer:
                     session.bus.transfer(spec.input_bytes, Direction.H2D),
                     f"serve-incopy.{head.index}",
                 )
-            attempt = 0
-            while True:
-                try:
-                    task_id = yield from session.host.task_spawn(spec, result)
-                    break
-                except CudaLaunchError:
-                    attempt += 1
-                    if attempt >= retry_policy.max_attempts:
-                        raise
-                    yield retry_policy.backoff_ns(attempt - 1)
+            task_id = yield from session.host.task_spawn_relaunch(
+                spec, result)
             # latency is measured from arrival, not from when the host
             # got around to posting the entry
             result.spawn_time = head.arrival_ns

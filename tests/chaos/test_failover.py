@@ -15,6 +15,12 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.tasks import TaskSpec
 
 from tests.chaos.harness import chaos_spec, const_kernel
+from tests.core.test_multigpu import node_fingerprint
+from tests.differential.harness import digest
+
+#: :func:`node_fingerprint` digest of the gpu.die cell below (GPU 0
+#: dies at 40 us), placements and degradation events included.
+GPU_DIE_DIGEST = "fe79afee29f5f907"
 
 
 def long_tasks(count=16, inst=60_000):
@@ -22,15 +28,18 @@ def long_tasks(count=16, inst=60_000):
             for i in range(count)]
 
 
-def test_gpu_death_fails_over_to_survivor():
+def _gpu_death_run():
     plan = FaultPlan(specs=[
         FaultSpec(kind="gpu.die", at_ns=40_000.0, target=0),
     ])
     config = PagodaConfig(copy_inputs=False, copy_outputs=False,
                           fault_plan=plan)
-    tasks = long_tasks()
-    stats = run_multi_gpu_pagoda(tasks, num_gpus=2, spec=chaos_spec(),
-                                 config=config)
+    return run_multi_gpu_pagoda(long_tasks(), num_gpus=2,
+                                spec=chaos_spec(), config=config)
+
+
+def test_gpu_death_fails_over_to_survivor():
+    stats = _gpu_death_run()
     # every task completed despite losing half the node mid-run
     assert all(r.end_time > 0 for r in stats.results)
     assert stats.meta["dead_gpus"] == [0]
@@ -50,17 +59,16 @@ def test_gpu_death_fails_over_to_survivor():
 def test_gpu_death_run_is_deterministic():
     """Failover is part of the simulation: same plan -> same schedule."""
     def run():
-        plan = FaultPlan(specs=[
-            FaultSpec(kind="gpu.die", at_ns=40_000.0, target=0),
-        ])
-        config = PagodaConfig(copy_inputs=False, copy_outputs=False,
-                              fault_plan=plan)
-        stats = run_multi_gpu_pagoda(long_tasks(), num_gpus=2,
-                                     spec=chaos_spec(), config=config)
+        stats = _gpu_death_run()
         return (stats.makespan, tuple(stats.meta["placements"]),
                 tuple(r.end_time for r in stats.results))
 
     assert run() == run()
+
+
+def test_gpu_death_run_is_pinned():
+    """Exact digest recorded from the original multi-GPU host loop."""
+    assert digest(node_fingerprint(_gpu_death_run())) == GPU_DIE_DIGEST
 
 
 def test_node_refuses_to_kill_last_survivor():

@@ -42,10 +42,11 @@ def test_fault_plan_roundtrips():
 
 
 def test_serve_config_roundtrips():
-    config = ServeConfig(num_gpus=2, precision_bits=9, label="shard")
+    config = ServeConfig(num_gpus=2, label="shard",
+                         pagoda=PagodaConfig(spawn_gap_ns=250.0))
     clone = _roundtrip(config)
     assert clone.num_gpus == 2
-    assert clone.precision_bits == 9
+    assert clone.pagoda.spawn_gap_ns == 250.0
     assert clone.label == "shard"
     assert clone.pagoda == config.pagoda
     assert type(clone.policy) is type(config.policy)

@@ -6,10 +6,44 @@ partition's canonical report stays byte-identical — both to the same
 run without the fault and to the sibling running entirely alone.
 """
 
+import hashlib
+
+import pytest
+
 from repro.faults import FaultPlan, FaultSpec
 from repro.gpu.phases import Phase
-from repro.partition import PartitionPlan, run_partitioned
+from repro.partition import ElasticConfig, PartitionPlan, run_partitioned
 from repro.tasks import TaskSpec
+
+#: sha256 of every partition's ``PartitionReport.to_json()`` per
+#: layout, recorded from the original per-partition host loop.
+REPORT_SHA256 = {
+    "elastic": {
+        "noisy": "0a58516e2486222fc059fe2e0bff8f29"
+                 "eb0ab27fc44e7194b433f9e2de4e56e0",
+        "quiet": "3786347fea3e6a06b6bef0f2169c0e5a"
+                 "8984eb10124fecc90d6c9945f475c3e4",
+    },
+    "static": {
+        "noisy": "8a8f23f864460c5525fa91ebe87bb0eb"
+                 "2191c8f95a7de6b3b481639c912a0df1",
+        "quiet": "a3c472d49b2221faffabc8d86ab30b7a"
+                 "92718080a6b63232b45325031432847c",
+    },
+    "static-brownout": {
+        "noisy": "df2fa84242c2cf2e27c71e7300682e15"
+                 "8641b6c07d52f40c58490296d415352d",
+        "quiet": "a3c472d49b2221faffabc8d86ab30b7a"
+                 "92718080a6b63232b45325031432847c",
+    },
+    "static-solo": {
+        "noisy": "a97b38876431c16ae049e12055fd7bd1"
+                 "38c968d65a6c62a357fc33ecd7e3dbd0",
+        "quiet": "a3c472d49b2221faffabc8d86ab30b7a"
+                 "92718080a6b63232b45325031432847c",
+    },
+}
+
 
 def _kernel(task, block_id, warp_id):
     yield Phase(inst=20_000.0)
@@ -63,3 +97,31 @@ def test_sibling_schedule_matches_solo_run():
     faulted = _run(fault_plan=_brownout_plan())
     assert duo["quiet"].to_json() == solo["quiet"].to_json()
     assert faulted["quiet"].to_json() == solo["quiet"].to_json()
+
+
+def _elastic_run():
+    """An idle sibling donates SMMs to a saturated partition."""
+    elastic = ElasticConfig(epoch_ns=20_000.0, high_util=0.3,
+                            low_util=0.15, min_smms=4, quota_step=0.5,
+                            moves_per_epoch=1)
+    plan = PartitionPlan.from_mode("DPX", names=["noisy", "quiet"],
+                                   elastic=elastic)
+    return run_partitioned({"noisy": _tasks("n", 200)}, plan)
+
+
+LAYOUTS = {
+    "static": _run,
+    "static-brownout": lambda: _run(fault_plan=_brownout_plan()),
+    "static-solo": lambda: _run(include_noisy=False),
+    "elastic": _elastic_run,
+}
+
+
+def _report_digests(reports):
+    return {name: hashlib.sha256(r.to_json()).hexdigest()
+            for name, r in sorted(reports.items())}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_report_bytes_are_pinned(layout):
+    assert _report_digests(LAYOUTS[layout]()) == REPORT_SHA256[layout]

@@ -144,11 +144,11 @@ def run_transfers(bus, eng, jobs):
     return finished
 
 
-def test_coalesce_off_matches_seed_cost_model():
-    """Default-off: every transaction pays setup, coalesced stays 0,
-    and the numbers are exactly the per-transaction model's."""
+def test_back_to_back_transfers_each_pay_setup():
+    """Queued same-direction transfers each pay pcie_transaction_ns:
+    the paper's per-transaction cost model."""
     eng = Engine()
-    bus = PcieBus(eng, TIMING)  # coalesce defaults to False
+    bus = PcieBus(eng, TIMING)
     finished = run_transfers(bus, eng, [
         (0.0, 10_000, Direction.H2D),
         (0.0, 10_000, Direction.H2D),
@@ -157,85 +157,7 @@ def test_coalesce_off_matches_seed_cost_model():
     assert finished == {0: pytest.approx(2000.0),
                        1: pytest.approx(4000.0),
                        2: pytest.approx(6000.0)}
-    assert bus.coalesced[Direction.H2D] == 0
     assert bus.busy_time(Direction.H2D) == pytest.approx(3 * 2000.0)
-
-
-def test_coalesce_merges_back_to_back_transfers():
-    """Queued same-direction transfers ride the open stream: only the
-    first pays pcie_transaction_ns."""
-    eng = Engine()
-    bus = PcieBus(eng, TIMING, coalesce=True)
-    finished = run_transfers(bus, eng, [
-        (0.0, 10_000, Direction.H2D),
-        (0.0, 10_000, Direction.H2D),
-        (0.0, 10_000, Direction.H2D),
-    ])
-    # 1000 setup + 3 x 1000 wire
-    assert finished == {0: pytest.approx(2000.0),
-                       1: pytest.approx(3000.0),
-                       2: pytest.approx(4000.0)}
-    assert bus.coalesced[Direction.H2D] == 2
-    assert bus.busy_time(Direction.H2D) == pytest.approx(1000 + 3000)
-
-
-def test_coalesce_requires_no_idle_gap():
-    """A transfer arriving after the engine went idle pays full setup:
-    the stream closed."""
-    eng = Engine()
-    bus = PcieBus(eng, TIMING, coalesce=True)
-    finished = run_transfers(bus, eng, [
-        (0.0, 10_000, Direction.H2D),    # done at 2000
-        (2500.0, 10_000, Direction.H2D),  # 500 ns idle gap
-    ])
-    assert finished == {0: pytest.approx(2000.0),
-                       1: pytest.approx(4500.0)}
-    assert bus.coalesced[Direction.H2D] == 0
-
-
-def test_coalesce_directions_are_independent_streams():
-    """A D2H transfer finishing at the same instant must not open the
-    H2D stream — each direction tracks its own last-end time."""
-    eng = Engine()
-    bus = PcieBus(eng, TIMING, coalesce=True)
-    finished = run_transfers(bus, eng, [
-        (0.0, 0, Direction.D2H),       # done at 1000
-        (1000.0, 0, Direction.H2D),    # starts exactly then: new stream
-    ])
-    assert finished == {0: pytest.approx(1000.0),
-                       1: pytest.approx(2000.0)}
-    assert bus.coalesced[Direction.H2D] == 0
-    assert bus.coalesced[Direction.D2H] == 0
-
-
-def test_coalesce_busy_time_counts_setup_once_per_stream():
-    eng = Engine()
-    bus = PcieBus(eng, TIMING, coalesce=True)
-    run_transfers(bus, eng, [
-        (0.0, 5_000, Direction.H2D),
-        (0.0, 5_000, Direction.H2D),
-        (5000.0, 5_000, Direction.H2D),  # gap -> second stream
-        (5000.0, 5_000, Direction.H2D),
-    ])
-    assert bus.transactions[Direction.H2D] == 4
-    assert bus.coalesced[Direction.H2D] == 2
-    # 2 setups + 20000 bytes / 10 B/ns
-    assert bus.busy_time(Direction.H2D) == pytest.approx(2 * 1000 + 2000)
-
-
-def test_coalesce_off_is_default_in_pagoda_config():
-    """Figure numbers must come from the paper's cost model unless the
-    user opts in."""
-    from repro.core import PagodaConfig
-    from repro.core.runtime import PagodaSession
-
-    assert PagodaConfig().pcie_coalesce is False
-    session = PagodaSession()
-    assert session.bus.coalesce is False
-    session.shutdown()
-    on = PagodaSession(config=PagodaConfig(pcie_coalesce=True))
-    assert on.bus.coalesce is True
-    on.shutdown()
 
 
 def test_concurrent_directions_do_not_reorder_within_direction():
