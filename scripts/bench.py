@@ -24,6 +24,14 @@ on small machines) are listed under ``skipped`` in the record *and*
 printed on exit, so silent skips are visible in CI logs as well as to
 ``--json`` consumers.
 
+Beside the timings, the record's ``counts`` section holds exact
+host-work tallies of the end-to-end ``pagoda_stack`` and
+``serve_stack`` cells: engine events and processor-sharing arrivals
+per task.  They do not depend on the host, so ``--check`` compares
+them with the committed record at zero tolerance; they catch an
+algorithmic regression (one more event per task) that timing noise
+hides, and a change to them must be deliberate.
+
 If a committed ``BENCH_simcore.json`` already exists, the fresh
 throughputs are compared against it first: any metric that regresses
 by more than ``REGRESSION_TOLERANCE`` (20 %) prints a warning and the
@@ -47,6 +55,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -190,18 +199,89 @@ def bench_ps_churn(repeats: int = 5):
     return jobs / wall, wall
 
 
+def _stack_kernel(task, block_id, warp_id):
+    yield Phase(inst=2_000, mem_bytes=256)
+
+
+def _stack_tasks():
+    return [TaskSpec(f"t{i}", 128, 1, _stack_kernel) for i in range(500)]
+
+
+def run_pagoda_stack():
+    """One pass of the ``pagoda_stack`` cell; returns tasks completed."""
+    stats = run_pagoda(_stack_tasks(), config=PagodaConfig(
+        copy_inputs=False, copy_outputs=False))
+    return len(stats.results)
+
+
+def run_serve_stack():
+    """One pass of the ``serve_stack`` cell; returns requests completed."""
+    from repro.serve import PoissonArrivals, TenantSpec, serve
+
+    rep = serve([TenantSpec("bench", _stack_tasks(),
+                            PoissonArrivals(200_000.0, seed=1))])
+    return rep.completed
+
+
+#: the cells whose work counts ``--check`` guards exactly.
+COUNTED_CELLS = {"pagoda_stack": run_pagoda_stack,
+                 "serve_stack": run_serve_stack}
+
+
+@contextlib.contextmanager
+def _instances_of(*classes):
+    """Collect every instance of ``classes`` built inside the block."""
+    made = {cls: [] for cls in classes}
+    originals = {cls: cls.__init__ for cls in classes}
+
+    def recording(cls, init):
+        def __init__(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made[cls].append(self)
+        return __init__
+
+    for cls, init in originals.items():
+        cls.__init__ = recording(cls, init)
+    try:
+        yield made
+    finally:
+        for cls, init in originals.items():
+            cls.__init__ = init
+
+
+def measure_counts() -> dict:
+    """Exact work counts of one untimed pass of each counted cell:
+    engine events and processor-sharing arrivals (heap pushes over
+    every pool) per completed task."""
+    counts = {}
+    for cell, run in COUNTED_CELLS.items():
+        with _instances_of(Engine, ProcessorSharing) as made:
+            completed = run()
+        events = sum(eng.event_count for eng in made[Engine])
+        arrivals = sum(pool._next_id for pool in made[ProcessorSharing])
+        counts[cell] = {"events_per_task": events / completed,
+                        "ps_arrivals_per_task": arrivals / completed}
+    return counts
+
+
+def check_counts(record: dict, baseline_counts) -> list:
+    """Work counts that differ at all from the committed record, as
+    ``(cell.count, old, new)``; empty when either side has none."""
+    fresh = record.get("counts")
+    if not isinstance(baseline_counts, dict) or not fresh:
+        return []
+    changed = []
+    for cell, old_counts in baseline_counts.items():
+        for key, old in old_counts.items():
+            new = fresh.get(cell, {}).get(key)
+            if new != old:
+                changed.append((f"{cell}.{key}", old, new))
+    return changed
+
+
 def bench_pagoda_stack(repeats: int = 3):
     """End-to-end tasks/s through MasterKernel + TaskTable + host."""
-    def kernel(task, block_id, warp_id):
-        yield Phase(inst=2_000, mem_bytes=256)
-
-    def run():
-        tasks = [TaskSpec(f"t{i}", 128, 1, kernel) for i in range(500)]
-        stats = run_pagoda(tasks, config=PagodaConfig(
-            copy_inputs=False, copy_outputs=False))
-        return len(stats.results)
-
-    completed, wall = _best_of(run, repeats)
+    completed, wall = _best_of(run_pagoda_stack, repeats)
     return completed / wall, wall
 
 
@@ -215,13 +295,10 @@ def bench_obs_overhead(repeats: int = 3):
     """
     from repro.obs import Obs
 
-    def kernel(task, block_id, warp_id):
-        yield Phase(inst=2_000, mem_bytes=256)
-
     snapshots = []
 
     def run():
-        tasks = [TaskSpec(f"t{i}", 128, 1, kernel) for i in range(500)]
+        tasks = _stack_tasks()
         obs = Obs()
         stats = run_pagoda(tasks, config=PagodaConfig(
             copy_inputs=False, copy_outputs=False, obs=obs))
@@ -303,18 +380,7 @@ def bench_warptable_churn(repeats: int = 5):
 def bench_serve_stack(repeats: int = 3):
     """End-to-end requests/s through the serving frontend (arrivals ->
     admission -> spawn -> latency accounting) -> requests/s."""
-    from repro.serve import PoissonArrivals, TenantSpec, serve
-
-    def kernel(task, block_id, warp_id):
-        yield Phase(inst=2_000, mem_bytes=256)
-
-    def run():
-        tasks = [TaskSpec(f"t{i}", 128, 1, kernel) for i in range(500)]
-        rep = serve([TenantSpec("bench", tasks,
-                                PoissonArrivals(200_000.0, seed=1))])
-        return rep.completed
-
-    completed, wall = _best_of(run, repeats)
+    completed, wall = _best_of(run_serve_stack, repeats)
     return completed / wall, wall
 
 
@@ -388,6 +454,7 @@ def measure() -> dict:
     cluster_degraded = bench_cluster_degraded()
     partition_measured = bench_partition()
     fig5_wall = bench_fig5_slice()
+    counts = measure_counts()
     metrics = {
         "engine_events_per_s": round(events_per_s, 1),
         "engine_events_per_s_fan": round(fan_per_s, 1),
@@ -407,6 +474,7 @@ def measure() -> dict:
     }
     return {
         "metrics": metrics,
+        "counts": counts,
         "wall_s": {
             "engine_ping_pong": round(events_wall, 4),
             "engine_fan": round(fan_wall, 4),
@@ -435,6 +503,14 @@ def measure() -> dict:
         "python": platform.python_version(),
         "recorded_unix_time": int(time.time()),
     }
+
+
+def load_baseline_counts(baseline_path: pathlib.Path):
+    """The committed record's ``counts`` section, or ``None``."""
+    try:
+        return json.loads(baseline_path.read_text()).get("counts")
+    except (OSError, ValueError, AttributeError):
+        return None
 
 
 def load_baseline(baseline_path: pathlib.Path):
@@ -527,6 +603,9 @@ def main(argv=None) -> int:
         say(f"{key:>24}: {value:>14,.1f}  {vs_seed}")
     for key, value in record["wall_s"].items():
         say(f"{key:>24}: {value:>12.3f} s")
+    for cell, cell_counts in record.get("counts", {}).items():
+        for key, value in cell_counts.items():
+            say(f"{cell + '.' + key:>38}: {value:>10.3f}")
 
     # the obs guard is absolute, not baseline-relative: instrumentation
     # overhead is a contract, so the floor applies from the first run
@@ -589,21 +668,29 @@ def main(argv=None) -> int:
         return finish(0)
 
     regressed = check_regression(record, baseline)
+    changed = check_counts(record, load_baseline_counts(args.output))
     if not args.check_only:
         args.output.write_text(json.dumps(record, indent=2) + "\n")
         say(f"wrote {args.output}")
 
+    if changed:
+        say("\nWARNING: work counts differ from the committed record "
+            "(exact; a deliberate change must re-record them):")
+        for key, old, new in changed:
+            say(f"  {key}: {old} -> {new}")
+    else:
+        say("work counts ok: identical to the committed record")
     if regressed:
         say(f"\nWARNING: throughput regressed >"
             f"{REGRESSION_TOLERANCE:.0%} vs committed baseline:")
         for key, old, new in regressed:
             say(f"  {key}: {old:,.1f} -> {new:,.1f} "
                 f"({new / old - 1.0:+.1%})")
-        if not args.no_fail:
-            return finish(1)
     else:
         say("perf check ok: no metric regressed "
             f">{REGRESSION_TOLERANCE:.0%} vs baseline")
+    if (changed or regressed) and not args.no_fail:
+        return finish(1)
     return finish(0)
 
 

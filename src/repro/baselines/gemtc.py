@@ -27,7 +27,6 @@ from repro.cuda.barrier import WarpBarrier
 from repro.device_api import run_functional
 from repro.gpu.device import Gpu
 from repro.gpu.occupancy import blocks_per_smm, registers_per_block
-from repro.gpu.phases import BlockSync, Phase
 from repro.gpu.spec import GpuSpec, titan_x
 from repro.gpu.timing import DEFAULT_TIMING, TimingModel
 from repro.obs.registry import Gauge
@@ -106,27 +105,11 @@ class _GemtcDevice:
                 f"{self.worker_warps}"
             )
         self.busy_warps.add(self.engine.now, warps)
-        barrier = WarpBarrier(warps)
-        done = Event()
-        remaining = [warps]
-
-        def warp_proc(warp_id):
-            for item in task.warp_phases(block_id, warp_id):
-                if isinstance(item, Phase):
-                    yield from smm.execute_phase(item, self.gpu.dram)
-                elif isinstance(item, BlockSync):
-                    yield self.timing.syncthreads_ns
-                    yield barrier.arrive()
-                else:
-                    raise TypeError(f"kernel yielded {item!r}")
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                done.fire(None)
-
-        for warp_id in range(warps):
-            self.engine.spawn(warp_proc(warp_id),
-                              f"gemtc.warp.{task.name}.{block_id}.{warp_id}")
-        yield done
+        yield from smm.run_block(
+            [task.warp_phases(block_id, w) for w in range(warps)],
+            self.gpu.dram, self.timing.syncthreads_ns, WarpBarrier(warps),
+            f"gemtc.warp.{task.name}.{block_id}",
+        )
         self.busy_warps.add(self.engine.now, -warps)
 
 

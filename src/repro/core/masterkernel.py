@@ -9,7 +9,11 @@ thread, which is exactly 100 % occupancy (asserted in the tests).
 Inside each MTB, warp 0 is the *scheduler warp* running Algorithm 1
 over its TaskTable column, and warps 1–31 are *executor warps* that
 sleep until their WarpTable slot's exec flag is set.  The scheduler's
-per-warp placement function is Algorithm 2's ``pSched``.
+per-warp placement function is Algorithm 2's ``pSched``.  The warps of
+one task threadblock that a pSched pass places together run in SIMT
+lockstep, so the lowest of their slots runs them as one gang
+(:meth:`repro.gpu.smm.Smm.execute_lockstep`) while the others stay
+parked; accounting (epilogue, ``busy_warps``, retire) stays per warp.
 """
 
 from __future__ import annotations
@@ -415,15 +419,21 @@ class Mtb:
             take = min(wt.free_count, count - placed)
             if self.serial_psched:
                 take = min(take, 1)  # ablation: one placement per pass
-            dispatched = []
+            # one [leader, *followers] gang per block placed this pass:
+            # the block's warps run in lockstep, so the lowest slot runs
+            # them as one gang and the others stay parked.  With a fault
+            # injector every warp runs alone (its draws are per warp).
+            gangs: List[List[int]] = []
+            gang_block = -1
             for _ in range(take):
                 # lowest-set-bit pick: the same slot the seed's
                 # ascending free-list scan chose, without building it
                 slot = wt.lowest_free()
                 warp_id = base_warp + placed
+                block_id = warp_id // wpb
                 wt.dispatch(
                     slot, warp_id=warp_id, e_num=row, sm_index=sm_index,
-                    bar_id=bar_id, block_id=warp_id // wpb,
+                    bar_id=bar_id, block_id=block_id,
                 )
                 self.busy_warps.add(self.engine.now, 1)
                 if self._obs_busy is not None:
@@ -431,22 +441,16 @@ class Mtb:
                 if self._obs_part_busy is not None:
                     self._obs_part_busy.add(self.engine.now, 1)
                 placed += 1
-                dispatched.append(slot)
-            # wake only the dispatched executors, after the whole pass
-            # (Algorithm 2 sets exec flags, then releases the warps)
-            for slot in dispatched:
-                bit = 1 << slot
-                if not self._exec_spawned & bit:
-                    self._exec_spawned |= bit
-                    proc = self.engine.spawn(
-                        self._executor(slot),
-                        f"exec.mtb{self.column}.{slot}",
-                        daemon=True,
-                    )
-                    self._procs.append(proc)
-                    self._exec_procs[slot] = proc
+                if block_id == gang_block and self.faults is None:
+                    gangs[-1].append(slot)
                 else:
-                    wt.notify_work(slot)
+                    gangs.append([slot])
+                    gang_block = block_id
+            # wake only the gang leaders, after the whole pass
+            # (Algorithm 2 sets exec flags, then releases the warps)
+            for gang in gangs:
+                self._wake_executor(gang[0], gang if len(gang) > 1 else None,
+                                    defer=False)
             if placed < count:
                 yield retry
                 if state is not None and state.killed:
@@ -454,19 +458,43 @@ class Mtb:
 
     # -- executor warps (Algorithm 1, lines 29-43) ----------------------------
 
-    def _executor(self, slot_index: int) -> Generator:
+    def _wake_executor(self, slot_index: int, work, defer: bool) -> None:
+        """Start (first dispatch) or wake a slot's executor with
+        ``work`` (see :meth:`_executor`).  ``defer`` wakes an existing
+        executor at the current instant but after the caller yields,
+        as a new executor's first step always runs."""
+        bit = 1 << slot_index
+        if not self._exec_spawned & bit:
+            self._exec_spawned |= bit
+            proc = self.engine.spawn(
+                self._executor(slot_index, work),
+                f"exec.mtb{self.column}.{slot_index}",
+                daemon=True,
+            )
+            self._procs.append(proc)
+            self._exec_procs[slot_index] = proc
+        elif defer:
+            self.engine.call_at(
+                self.engine.now,
+                lambda: self.warptable.notify_work(slot_index, work))
+        else:
+            self.warptable.notify_work(slot_index, work)
+
+    def _executor(self, slot_index: int, work=None) -> Generator:
+        """One executor warp.  Each dispatch hands it ``work``: ``None``
+        to run its own warp, a list of slots (itself first) to lead
+        that block's warps as a lockstep gang, or a phase stream a
+        gang leader handed back when the gang's warps stopped agreeing
+        (:meth:`Smm.execute_lockstep`)."""
         wt = self.warptable
         slot = wt.slots[slot_index]
         col = self.table.gpu[self.column]
         execute_phase = self.smm.execute_phase
         dram = self.dram_pool
-        busy_warps = self.busy_warps
-        obs_busy = self._obs_busy
-        obs_part = self._obs_part_busy
         engine = self.engine
         while True:
             if not slot.exec_flag:
-                yield wt.arm_work(slot_index)
+                work = yield wt.arm_work(slot_index)
                 continue
             entry = col[slot.e_num]
             task: TaskSpec = entry.spec
@@ -495,8 +523,18 @@ class Mtb:
                         or faults.draw("task.raise", site))
                 if spec is not None:
                     fail_reason = f"injected fault {spec.kind}"
+            phases = work
+            work = None
+            if type(phases) is list:
+                gang = phases
+                phases = yield from self._run_gang(gang, task)
+                if phases is None:
+                    for member in gang:
+                        self._finish_warp(member, entry, task, state)
+                    continue
             if fail_reason is None:
-                phases = task.warp_phases(slot.block_id, local_warp)
+                if phases is None:
+                    phases = task.warp_phases(slot.block_id, local_warp)
                 while True:
                     try:
                         item = next(phases)
@@ -533,24 +571,52 @@ class Mtb:
                 # interrupt itself) and retired on the normal path below
                 self.fail_entry(slot.e_num, entry, fail_reason,
                                 skip_slot=slot_index)
-                busy_warps.add(engine.now, -1)
-                if obs_busy is not None:
-                    obs_busy.add(engine.now, -1)
-                if obs_part is not None:
-                    obs_part.add(engine.now, -1)
-                wt.retire(slot_index)
+                self._free_slot(slot_index)
                 continue
-            self._warp_epilogue(slot.e_num, slot.block_id,
-                                entry, task, state)
-            busy_warps.add(engine.now, -1)
-            if obs_busy is not None:
-                obs_busy.add(engine.now, -1)
-            if obs_part is not None:
-                obs_part.add(engine.now, -1)
-            wt.retire(slot_index)
-            if self.deferred_scheduling:
-                # freed resources may unblock a deferred row
-                self.table.column_signals[self.column].pulse()
+            self._finish_warp(slot_index, entry, task, state)
+
+    def _run_gang(self, gang: List[int], task: TaskSpec) -> Generator:
+        """Subroutine: the leader (``gang[0]``) runs the gang's warps in
+        lockstep.  Returns ``None`` when every warp's stream ended
+        together; otherwise hands each follower its stream (the
+        follower wakes at this instant, after the leader's next step)
+        and returns the leader's own."""
+        slots = self.warptable.slots
+        wpb = task.warps_per_block
+        streams = [
+            task.warp_phases(s.block_id, s.warp_id - s.block_id * wpb)
+            for s in (slots[i] for i in gang)
+        ]
+        bar_id = slots[gang[0]].bar_id
+        rest = yield from self.smm.execute_lockstep(
+            streams, self.dram_pool, self.timing.named_barrier_ns,
+            self.barriers.barrier(bar_id) if bar_id >= 0 else None,
+        )
+        if rest is None:
+            return None
+        for member, stream in zip(gang[1:], rest[1:]):
+            self._wake_executor(member, stream, defer=True)
+        return rest[0]
+
+    def _finish_warp(self, slot_index: int, entry: TaskEntry,
+                     task: TaskSpec, state: ExecState) -> None:
+        """A warp whose stream ended: epilogue, then free its slot."""
+        slot = self.warptable.slots[slot_index]
+        self._warp_epilogue(slot.e_num, slot.block_id, entry, task, state)
+        self._free_slot(slot_index)
+        if self.deferred_scheduling:
+            # freed resources may unblock a deferred row
+            self.table.column_signals[self.column].pulse()
+
+    def _free_slot(self, slot_index: int) -> None:
+        """Count the warp out of ``busy_warps`` and retire its slot."""
+        now = self.engine.now
+        self.busy_warps.add(now, -1)
+        if self._obs_busy is not None:
+            self._obs_busy.add(now, -1)
+        if self._obs_part_busy is not None:
+            self._obs_part_busy.add(now, -1)
+        self.warptable.retire(slot_index)
 
     def _warp_epilogue(self, row: int, block_id: int, entry: TaskEntry,
                        task: TaskSpec, state: ExecState) -> None:
@@ -615,12 +681,7 @@ class Mtb:
             if proc is not None:
                 proc.interrupt()
                 self._exec_spawned &= ~(1 << idx)
-            self.busy_warps.add(self.engine.now, -1)
-            if self._obs_busy is not None:
-                self._obs_busy.add(self.engine.now, -1)
-            if self._obs_part_busy is not None:
-                self._obs_part_busy.add(self.engine.now, -1)
-            wt.retire(idx)
+            self._free_slot(idx)
         if state is not None:
             for offset in state.block_sm_offset.values():
                 if offset is not None:

@@ -50,8 +50,15 @@ class MultiGpuPagoda:
             raise ValueError("num_gpus must be >= 1")
         self.config = config or PagodaConfig()
         self.engine = Engine()
+        #: the node's one fault injector, shared by every GPU's stack
+        #: (a plan's fault fires once per node) and owning ``gpu.die``.
+        self.faults = None
+        if self.config.fault_plan is not None:
+            from repro.faults import FaultInjector
+            self.faults = FaultInjector(self.engine, self.config.fault_plan)
         self.sessions: List[PagodaSession] = [
-            PagodaSession(spec, timing, self.config, engine=self.engine)
+            PagodaSession(spec, timing, self.config, engine=self.engine,
+                          faults=self.faults)
             for _ in range(num_gpus)
         ]
         #: host-side estimate of outstanding tasks per GPU
@@ -60,12 +67,6 @@ class MultiGpuPagoda:
         self.dead_gpus: set = set()
         #: one record per failover (see :meth:`kill_gpu`).
         self.degradation_events: List[DegradationEvent] = []
-        #: node-level fault injector (owns ``gpu.die`` specs; per-GPU
-        #: faults live in each session's own injector).
-        self.faults = None
-        if self.config.fault_plan is not None:
-            from repro.faults import FaultInjector
-            self.faults = FaultInjector(self.engine, self.config.fault_plan)
 
     @property
     def num_gpus(self) -> int:
@@ -159,6 +160,8 @@ def run_multi_gpu_pagoda(tasks: List[TaskSpec],
     if clean and executed != len(tasks):
         raise RuntimeError(f"executed {executed} of {len(tasks)} tasks")
     meta = {"placements": driver.placements}
+    if node.faults is not None:
+        meta["faults_injected"] = node.faults.injected_count
     if not clean:
         meta.update({
             "tasks_failed": failed,

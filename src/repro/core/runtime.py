@@ -95,7 +95,8 @@ class PagodaSession:
     def __init__(self, spec: Optional[GpuSpec] = None,
                  timing: Optional[TimingModel] = None,
                  config: Optional[PagodaConfig] = None,
-                 engine: Optional[Engine] = None) -> None:
+                 engine: Optional[Engine] = None,
+                 faults=None) -> None:
         self.spec = spec or titan_x()
         self.timing = timing or DEFAULT_TIMING
         self.config = config or PagodaConfig()
@@ -109,9 +110,10 @@ class PagodaSession:
         # multi-GPU node) advance on one simulated clock
         self.engine = engine or Engine()
         #: seeded fault injector shared by every layer (None when the
-        #: config carries no fault plan).
-        self.faults = None
-        if self.config.fault_plan is not None:
+        #: config carries no fault plan).  A multi-GPU node passes its
+        #: own, so one plan's faults fire once per node, not per GPU.
+        self.faults = faults
+        if faults is None and self.config.fault_plan is not None:
             from repro.faults import FaultInjector
             self.faults = FaultInjector(self.engine, self.config.fault_plan)
         #: optional Obs shared by every layer (None = no instrumentation).

@@ -100,19 +100,21 @@ class WarpTable:
 
     def arm_work(self, slot_index: int) -> Event:
         """Idle executor warp: arm a one-shot event the scheduler fires
-        when it dispatches this slot."""
+        when it dispatches this slot; its value is the ``work`` passed
+        to :meth:`notify_work`."""
         ev = Event()
         self.slots[slot_index].work_event = ev
         return ev
 
-    def notify_work(self, slot_index: int) -> None:
+    def notify_work(self, slot_index: int, work=None) -> None:
         """Scheduler side: wake the dispatched slot's executor (no-op
-        when the executor saw the exec flag without sleeping)."""
+        when the executor saw the exec flag without sleeping), handing
+        it ``work`` (see ``Mtb._executor``)."""
         slot = self.slots[slot_index]
         ev = slot.work_event
         if ev is not None:
             slot.work_event = None
-            ev.fire(slot_index)
+            ev.fire(work)
 
     # -- dispatch / retire ----------------------------------------------------
 

@@ -23,7 +23,6 @@ from repro.cuda.stream import Stream
 from repro.device_api import run_functional
 from repro.gpu.device import Gpu
 from repro.gpu.occupancy import registers_per_block
-from repro.gpu.phases import BlockSync, Phase
 from repro.pcie.bus import Direction, PcieBus
 from repro.sim import Engine, Event, Signal
 from repro.tasks import TaskResult, TaskSpec
@@ -201,30 +200,12 @@ class CudaRuntime:
     def _run_block(self, task: TaskSpec, block_id: int, smm, warps: int,
                    regs: int, smem: int, on_start, on_done) -> Generator:
         on_start()
-        barrier = WarpBarrier(warps, f"{task.name}.{block_id}")
-        remaining = [warps]
-        block_done = Event()
-        for warp_id in range(warps):
-            self.engine.spawn(
-                self._run_warp(task, block_id, warp_id, smm, barrier,
-                               remaining, block_done),
-                name=f"warp.{task.name}.{block_id}.{warp_id}",
-            )
-        yield block_done
+        name = f"{task.name}.{block_id}"
+        yield from smm.run_block(
+            [task.warp_phases(block_id, w) for w in range(warps)],
+            self.gpu.dram, self.timing.syncthreads_ns,
+            WarpBarrier(warps, name), f"warp.{name}",
+        )
         smm.release_block(warps, regs, smem)
         on_done()
         self._freed.pulse()
-
-    def _run_warp(self, task: TaskSpec, block_id: int, warp_id: int, smm,
-                  barrier: WarpBarrier, remaining, block_done: Event) -> Generator:
-        for item in task.warp_phases(block_id, warp_id):
-            if isinstance(item, Phase):
-                yield from smm.execute_phase(item, self.gpu.dram)
-            elif isinstance(item, BlockSync):
-                yield self.timing.syncthreads_ns
-                yield barrier.arrive()
-            else:
-                raise TypeError(f"kernel yielded {item!r}")
-        remaining[0] -= 1
-        if remaining[0] == 0:
-            block_done.fire(self.engine.now)

@@ -579,9 +579,11 @@ class TaskServer:
         return self.finish()
 
     def faults_injected(self) -> int:
-        """Faults fired across every session's injector."""
-        return sum(s.faults.injected_count
-                   for s in self.node.sessions if s.faults is not None)
+        """Faults fired across the node, each injector counted once
+        (a multi-GPU node's sessions share one)."""
+        injectors = {id(s.faults): s.faults for s in self.node.sessions
+                     if s.faults is not None}
+        return sum(f.injected_count for f in injectors.values())
 
 
 def serve(tenants: List[TenantSpec],

@@ -11,6 +11,13 @@ virtual-time processor sharing in :mod:`repro.sim.resources`) are
 behaviorally identical — same simulated clocks, same event ordering,
 same per-task stats.
 
+``ReferenceProcessorSharing`` takes the optimized pool's ``weight``
+argument but honours it the seed way: a weight-``k`` demand enqueues
+``k`` separate unit jobs and fires its event when the last of them is
+served.  So a golden-schedule run in which the runtimes execute a
+block's lockstep warps as one weighted customer is compared against
+literally ``k`` customers per phase.
+
 Do **not** use these classes outside tests: they are deliberately slow
 and receive no new features.  Bug fixes that change observable
 behavior (e.g. the ``Process.interrupt`` live-count fix) are applied
@@ -230,7 +237,9 @@ class ReferenceProcessorSharing:
         for _jid, job in finished:
             job[1].fire(None)
 
-    def consume(self, amount: float) -> Event:
+    def consume(self, amount: float, weight: int = 1) -> Event:
+        """``weight`` unit jobs of ``amount`` each; the event fires with
+        the last of them (they finish together, in arrival order)."""
         if amount < 0:
             raise ValueError("amount must be >= 0")
         ev = Event()
@@ -238,20 +247,23 @@ class ReferenceProcessorSharing:
             ev.fire(None)
             return ev
         self._advance()
-        self._next_id += 1
-        self._jobs[self._next_id] = [float(amount), ev]
+        for k in range(weight):
+            self._next_id += 1
+            self._jobs[self._next_id] = [
+                float(amount), ev if k == weight - 1 else Event()]
         self._reschedule()
         return ev
 
-    def consume_after(self, delay: float, amount: float) -> Event:
+    def consume_after(self, delay: float, amount: float,
+                      weight: int = 1) -> Event:
         """Join the pool after a private ``delay``, then consume
         (timing-equivalent to sleeping ``delay`` before ``consume``)."""
         if delay <= 0:
-            return self.consume(amount)
+            return self.consume(amount, weight)
         ev = Event()
 
         def join() -> None:
-            self.consume(amount)._add_waiter(ev.fire)
+            self.consume(amount, weight)._add_waiter(ev.fire)
 
         self.engine.call_after(delay, join)
         return ev

@@ -15,6 +15,15 @@ tracks a single virtual clock ``V`` that accumulates per-job service.
 A job arriving with ``w`` units of work finishes when ``V`` reaches
 ``V_arrival + w``, so arrivals are one heap push and departures one
 heap pop — O(log n) per state change regardless of churn.
+
+A job may carry a *weight* ``k``: it stands for ``k`` identical unit
+jobs that arrive at the same instant with the same work.  Those ``k``
+jobs would share one finish tag ``V + w`` and each receive
+``min(cap, rate / n)``, so the pool tracks them as one heap entry and
+counts ``k`` toward ``n``.  The lockstep warps of a threadblock
+(``Smm.execute_lockstep``) join the SMM issue and DRAM pools this way:
+one arrival, one completion and one wake per phase instead of ``k``,
+with every clock, rate and integral bit-identical to ``k`` unit jobs.
 """
 
 from __future__ import annotations
@@ -109,14 +118,17 @@ class ProcessorSharing:
     ``rate`` is work units per time unit for the whole pool; each job
     receives ``min(per_job_cap, rate / n_active)``.  ``consume(amount)``
     returns an event that fires when the job's work has been served.
+    ``n_active`` is the total *weight* of the active jobs: a job of
+    weight ``k`` is ``k`` unit jobs that arrived together (module
+    docstring).
 
     Internally this is the classic virtual-time fluid queue: because
     every active job receives the *same* instantaneous rate, the pool
     only needs one cumulative per-job service clock ``V`` (``dV/dt =
-    min(cap, rate/n)``).  A job arriving when the clock reads ``V`` with
-    ``w`` units of work is tagged ``finish_v = V + w`` and completes
-    when ``V`` reaches its tag; a min-heap on the tags yields the next
-    completion.  Arrivals and departures are O(log n) — the seed
+    min(cap, rate/n)``, ``n`` the total weight).  A job arriving when
+    the clock reads ``V`` with ``w`` units of work is tagged
+    ``finish_v = V + w`` and completes when ``V`` reaches its tag; a
+    min-heap on the tags yields the next completion.  Arrivals and departures are O(log n) — the seed
     implementation rescanned all active jobs on every state change,
     which was quadratic under churn.  Completion *order* and timer
     semantics (``_MIN_ETA`` forward-progress floor, grouped completions
@@ -136,9 +148,11 @@ class ProcessorSharing:
         self.rate = rate
         self.per_job_cap = per_job_cap if per_job_cap is not None else rate
         self.name = name
-        #: min-heap of (finish_v, seq, Event); seq breaks ties in
-        #: arrival order
-        self._heap: List[Tuple[float, int, Event]] = []
+        #: min-heap of (finish_v, seq, Event, weight); seq breaks ties
+        #: in arrival order
+        self._heap: List[Tuple[float, int, Event, int]] = []
+        #: total weight of the jobs in the heap (the ``n`` of dV/dt)
+        self._weight = 0
         #: same-instant deferred arrivals being coalesced, keyed by
         #: absolute arrival time (see :meth:`consume_after`)
         self._arrivals: dict = {}
@@ -152,7 +166,7 @@ class ProcessorSharing:
     # -- internal -------------------------------------------------------------
 
     def _job_rate(self) -> float:
-        n = len(self._heap)
+        n = self._weight
         if n == 0:
             return 0.0
         return min(self.per_job_cap, self.rate / n)
@@ -161,7 +175,7 @@ class ProcessorSharing:
         """Advance the virtual clock by the elapsed per-job service."""
         now = self.engine.now
         elapsed = now - self._last_update
-        n = len(self._heap)
+        n = self._weight
         if elapsed > 0 and n:
             self._v += elapsed * min(self.per_job_cap, self.rate / n)
             self._busy_integral += elapsed * min(
@@ -172,7 +186,7 @@ class ProcessorSharing:
     def _rebase(self) -> None:
         """Shift all finish tags down by ``V`` and restart the clock."""
         v = self._v
-        self._heap = [(fv - v, seq, ev) for fv, seq, ev in self._heap]
+        self._heap = [(fv - v, seq, ev, k) for fv, seq, ev, k in self._heap]
         self._v = 0.0
 
     def _reschedule(self) -> None:
@@ -188,9 +202,8 @@ class ProcessorSharing:
         shortest = heap[0][0] - self._v
         if shortest < 0.0:
             shortest = 0.0
-        n = len(heap)
         job_rate = self.per_job_cap
-        pooled = self.rate / n
+        pooled = self.rate / self._weight
         if pooled < job_rate:
             job_rate = pooled
         eta = shortest / job_rate
@@ -215,7 +228,9 @@ class ProcessorSharing:
         threshold = self._v + _EPS
         finished = []
         while heap and heap[0][0] <= threshold:
-            finished.append(heapq.heappop(heap))
+            item = heapq.heappop(heap)
+            self._weight -= item[3]
+            finished.append(item)
         self._reschedule()
         if len(finished) == 1:
             finished[0][2].fire(None)
@@ -223,13 +238,17 @@ class ProcessorSharing:
         # fire in arrival order (the seed iterated its job dict in
         # insertion order), not in finish-tag order
         finished.sort(key=lambda item: item[1])
-        for _fv, _seq, ev in finished:
+        for _fv, _seq, ev, _k in finished:
             ev.fire(None)
 
     # -- public ---------------------------------------------------------------
 
-    def consume(self, amount: float) -> Event:
-        """Submit ``amount`` units of work; event fires when served."""
+    def consume(self, amount: float, weight: int = 1) -> Event:
+        """Submit ``amount`` units of work; event fires when served.
+
+        ``weight`` jobs of ``amount`` each arrive together and finish
+        together; the event fires once, when all are served.
+        """
         if amount < 0:
             raise ValueError("amount must be >= 0")
         ev = Event()
@@ -243,11 +262,14 @@ class ProcessorSharing:
             # accrued since _last_update — skip the fp bookkeeping
             self._last_update = self.engine.now
         self._next_id += 1
-        heapq.heappush(self._heap, (self._v + float(amount), self._next_id, ev))
+        heapq.heappush(self._heap,
+                       (self._v + float(amount), self._next_id, ev, weight))
+        self._weight += weight
         self._reschedule()
         return ev
 
-    def consume_after(self, delay: float, amount: float) -> Event:
+    def consume_after(self, delay: float, amount: float,
+                      weight: int = 1) -> Event:
         """Join the pool after a private ``delay``, then consume.
 
         Timing-equivalent to ``yield delay`` followed by ``yield
@@ -262,9 +284,10 @@ class ProcessorSharing:
         identical latency-then-demand patterns, so batching their pool
         entries removes most of the PS timer churn without changing a
         single finish tag (same arrival instant, same arrival order).
+        ``weight`` is as in :meth:`consume`.
         """
         if delay <= 0:
-            return self.consume(amount)
+            return self.consume(amount, weight)
         if amount < 0:
             raise ValueError("amount must be >= 0")
         ev = Event()
@@ -272,9 +295,9 @@ class ProcessorSharing:
         when = engine.now + delay
         batch = self._arrivals.get(when)
         if batch is not None:
-            batch.append((float(amount), ev))
+            batch.append((float(amount), ev, weight))
             return ev
-        batch = [(float(amount), ev)]
+        batch = [(float(amount), ev, weight)]
         self._arrivals[when] = batch
 
         def join() -> None:
@@ -285,12 +308,13 @@ class ProcessorSharing:
                 self._last_update = self.engine.now
             heap = self._heap
             v = self._v
-            for amt, e in batch:
+            for amt, e, k in batch:
                 if amt == 0.0:
                     e.fire(None)
                     continue
                 self._next_id += 1
-                heapq.heappush(heap, (v + amt, self._next_id, e))
+                heapq.heappush(heap, (v + amt, self._next_id, e, k))
+                self._weight += k
             self._reschedule()
 
         engine._seq += 1
@@ -299,8 +323,9 @@ class ProcessorSharing:
 
     @property
     def active_jobs(self) -> int:
-        """Jobs currently receiving service."""
-        return len(self._heap)
+        """Jobs currently receiving service (a weight-``k`` job counts
+        ``k``)."""
+        return self._weight
 
     def utilization(self) -> float:
         """Fraction of the pool's rate used, averaged over elapsed time."""

@@ -133,3 +133,38 @@ def test_check_still_fails_on_genuine_regression(fast_bench, tmp_path):
     # --no-fail downgrades to a warning
     assert fast_bench.main(["--check", "--no-fail",
                             "--output", str(out)]) == 0
+
+
+COUNTS = {"pagoda_stack": {"events_per_task": 10.0,
+                           "ps_arrivals_per_task": 2.0}}
+
+
+def test_check_counts_is_exact():
+    record = {"counts": json.loads(json.dumps(COUNTS))}
+    assert bench.check_counts(record, COUNTS) == []
+    record["counts"]["pagoda_stack"]["events_per_task"] = 10.002
+    assert bench.check_counts(record, COUNTS) == [
+        ("pagoda_stack.events_per_task", 10.0, 10.002)]
+    # nothing to compare on either side: no verdict
+    assert bench.check_counts({}, COUNTS) == []
+    assert bench.check_counts(record, None) == []
+
+
+def test_changed_work_count_fails_check(fast_bench, tmp_path, monkeypatch):
+    fresh = json.loads(json.dumps(FAKE_RECORD))
+    fresh["counts"] = {"pagoda_stack": {"events_per_task": 11.0,
+                                        "ps_arrivals_per_task": 2.0}}
+    monkeypatch.setattr(bench, "measure", lambda: json.loads(
+        json.dumps(fresh)))
+    out = tmp_path / "BENCH.json"
+    committed = dict(FAKE_RECORD, counts=COUNTS)
+    out.write_text(json.dumps(committed))
+    assert bench.main(["--check", "--output", str(out)]) == 1
+    assert bench.main(["--check", "--no-fail", "--output", str(out)]) == 0
+
+
+def test_committed_work_counts_reproduce():
+    """The work counts in the committed record are what the cells
+    count today (deterministic, so any change must re-record them)."""
+    committed = json.loads((ROOT / "BENCH_simcore.json").read_text())
+    assert bench.measure_counts() == committed["counts"]

@@ -43,6 +43,7 @@ def test_gpu_death_fails_over_to_survivor():
     # every task completed despite losing half the node mid-run
     assert all(r.end_time > 0 for r in stats.results)
     assert stats.meta["dead_gpus"] == [0]
+    assert stats.meta["faults_injected"] == 1
     (event,) = stats.meta["degradation_events"]
     assert event["gpu_index"] == 0
     assert event["when_ns"] == 40_000.0

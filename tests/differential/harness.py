@@ -7,7 +7,8 @@ pinned in ``test_lanes.py``; any change to simulated behaviour must
 update those pins deliberately.
 
 Run ``PYTHONPATH=src python -m tests.differential.harness`` to print
-the current digests in the layout of the pin tables.
+the current digests, and the obs snapshots' work counts, in the layout
+of the pin tables.
 """
 
 import hashlib
@@ -64,6 +65,10 @@ def chaos_fingerprint(seed: int, faulty: bool = False) -> tuple:
     return fingerprint(stats) + extra
 
 
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def obs_snapshot_json(seed: int) -> str:
     """Canonical JSON of a fully instrumented run's stats snapshot
     (profiler attached, so ``profile.heap_peak`` is part of it)."""
@@ -71,8 +76,26 @@ def obs_snapshot_json(seed: int) -> str:
                        config=PagodaConfig(
                            copy_inputs=False, copy_outputs=False,
                            obs=Obs()))
-    return json.dumps(stats.meta["stats_snapshot"], sort_keys=True,
-                      separators=(",", ":"))
+    return _canonical(stats.meta["stats_snapshot"])
+
+
+def split_work_counts(snapshot_json: str) -> tuple:
+    """Split an obs snapshot into what the simulation decided and how
+    much host work it took.
+
+    Returns ``(behaviour_json, counts)``.  ``behaviour_json`` is the
+    snapshot without ``sim.events_executed`` and ``profile``; those
+    count engine events and process resumes, which move whenever the
+    simulator does the same schedule with less work.  ``counts`` is
+    ``(events_executed, heap_peak, total_events, processes,
+    digest(profile))``.
+    """
+    snapshot = json.loads(snapshot_json)
+    events = snapshot["sim"].pop("events_executed")
+    profile = snapshot.pop("profile")
+    counts = (events, profile["heap_peak"], profile["total_events"],
+              profile["processes"], digest(_canonical(profile)))
+    return _canonical(snapshot), counts
 
 
 def _serve_kernel(task, block_id, warp_id):
@@ -121,9 +144,15 @@ def _print_pins() -> None:  # pragma: no cover - maintenance aid
         for seed in DIFF_SEEDS:
             print(f"    {digest(chaos_fingerprint(seed, faulty))!r},")
         print("]")
+    obs = {seed: split_work_counts(obs_snapshot_json(seed))
+           for seed in OBS_SEEDS}
     print("OBS_DIGESTS = {")
-    for seed in OBS_SEEDS:
-        print(f"    {seed}: {digest(obs_snapshot_json(seed))!r},")
+    for seed, (behaviour, _counts) in obs.items():
+        print(f"    {seed}: {digest(behaviour)!r},")
+    print("}")
+    print("OBS_WORK_COUNTS = {")
+    for seed, (_behaviour, counts) in obs.items():
+        print(f"    {seed}: {counts!r},")
     print("}")
     print("SERVE_DIGESTS = {")
     for faulty in (False, True):

@@ -10,10 +10,12 @@ event count.
 
 The end-to-end tests pin the golden corpus, a 25-seed hostile sweep
 (with and without an active FaultPlan), fully instrumented obs
-snapshots (including the profiler's ``heap_peak``) and serve reports
-to fixed digests.  Only a deliberate change to simulated behaviour may
-move them; ``python -m tests.differential.harness`` prints the current
-values.
+snapshots and serve reports to fixed digests.  Only a deliberate change
+to simulated behaviour may move them.  The obs snapshots' work counts
+(engine events and the profiler section, ``heap_peak`` included) are
+pinned apart from their digests: they move when the same schedule is
+simulated with less host work.  ``python -m tests.differential.harness``
+prints the current values.
 """
 
 import math
@@ -31,6 +33,7 @@ from tests.differential.harness import (
     digest,
     obs_snapshot_json,
     serve_report_json,
+    split_work_counts,
 )
 from tests.test_determinism import (
     GOLDEN_APPROX_CASES,
@@ -248,10 +251,22 @@ def test_chaos_seed_identical_under_fault_plan(seed):
 # Obs snapshots and serve reports (byte comparisons)
 # ---------------------------------------------------------------------------
 
+#: digest of each obs snapshot without its work counts (see
+#: :func:`split_work_counts`): what the simulation decided.
 OBS_DIGESTS = {
-    0: "9da4d1358ee4a616",
-    7: "0bec62780e150b55",
-    19: "2d6ca69aedc16ed1",
+    0: "96e735c7b2301bd4",
+    7: "a63acc13a0eeb68c",
+    19: "4886c03c0c79cb71",
+}
+
+#: the snapshot's work counts: ``(sim.events_executed,
+#: profile.heap_peak, profile.total_events, profile.processes,
+#: digest(profile))``.  They move only when the simulator does the same
+#: schedule with a different amount of host work.
+OBS_WORK_COUNTS = {
+    0: (598, 21, 600, 47, "84392eb080c2b4ab"),
+    7: (597, 19, 600, 49, "8ecf84224c9fe7d8"),
+    19: (592, 21, 600, 39, "a17e7983c7e8302b"),
 }
 
 SERVE_DIGESTS = {
@@ -262,12 +277,15 @@ SERVE_DIGESTS = {
 
 @pytest.mark.parametrize("seed", OBS_SEEDS)
 def test_obs_snapshot_byte_identical(seed):
-    """Instrumented runs reproduce their pinned bytes — including the
-    profiler's ``heap_peak`` and the occupancy-memo counters."""
+    """Instrumented runs reproduce their pinned bytes — the simulated
+    behaviour (occupancy-memo counters included) and, separately, the
+    work counts (the profiler's ``heap_peak`` included)."""
     snapshot = obs_snapshot_json(seed)
     assert '"gpu.occupancy.memo_hits"' in snapshot
     assert '"heap_peak"' in snapshot
-    assert digest(snapshot) == OBS_DIGESTS[seed]
+    behaviour, counts = split_work_counts(snapshot)
+    assert digest(behaviour) == OBS_DIGESTS[seed]
+    assert counts == OBS_WORK_COUNTS[seed]
 
 
 def test_serve_report_byte_identical():

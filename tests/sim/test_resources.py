@@ -330,6 +330,71 @@ def test_ps_many_jobs_high_churn_terminates():
     assert len(done) == 300
 
 
+def _weighted_churn(split: bool, seed: int):
+    """Seeded churn of same-instant groups on one pool.
+
+    Each group is ``n`` identical jobs arriving together, either as one
+    customer of weight ``n`` or (``split``) as ``n`` unit customers;
+    half join after a private delay (``consume_after``, whose
+    same-instant arrivals coalesce).  Returns every group's completion
+    time with ``active_jobs`` at that moment, ``active_jobs`` sampled
+    on a fixed grid, and the final utilization.
+    """
+    import random
+
+    rng = random.Random(seed)
+    plan = [(round(rng.uniform(0.0, 60.0), 1), round(rng.uniform(0.5, 20.0), 3),
+             rng.randint(1, 6), rng.choice((0.0, 0.0, 1.5, 4.0)))
+            for _ in range(120)]
+    eng = Engine()
+    pool = ProcessorSharing(eng, rate=8.0, per_job_cap=2.0)
+    done = []
+    samples = []
+
+    def group(i, start, amount, n, delay):
+        yield start
+        if split:
+            events = [pool.consume_after(delay, amount) for _ in range(n)]
+            for ev in events:
+                yield ev
+        else:
+            yield pool.consume_after(delay, amount, weight=n)
+        done.append((i, eng.now, pool.active_jobs))
+
+    def sampler():
+        for _ in range(200):
+            yield 0.37
+            samples.append(pool.active_jobs)
+
+    for i, job in enumerate(plan):
+        eng.spawn(group(i, *job), name=f"group{i}")
+    eng.spawn(sampler(), name="sampler")
+    end = eng.run()
+    return sorted(done), samples, end, pool.utilization()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_ps_weight_n_customer_equals_n_unit_customers(seed):
+    """Exactly equal, not approximately: n unit jobs that arrive at the
+    same instant share one finish tag and one rate, as one job of
+    weight n does."""
+    weighted = _weighted_churn(split=False, seed=seed)
+    split = _weighted_churn(split=True, seed=seed)
+    assert weighted == split
+    assert max(weighted[1]) > 6  # groups really overlapped
+
+
+def test_ps_weight_counts_toward_active_jobs():
+    eng = Engine()
+    pool = ProcessorSharing(eng, rate=4.0, per_job_cap=1.0)
+    ev = pool.consume(8.0, weight=8)
+    assert pool.active_jobs == 8
+    eng.run()
+    # eight jobs share a rate of 4: each gets 0.5, so 8 units take 16
+    assert ev.fired and eng.now == 16.0
+    assert pool.active_jobs == 0
+
+
 def test_fifo_use_releases_server_on_interrupt():
     """A holder interrupted mid-``use()`` must hand its server back.
 
